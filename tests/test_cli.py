@@ -111,6 +111,83 @@ def test_json_golden(argv, expected, capsys):
     assert capsys.readouterr().out == expected + "\n"
 
 
+ELIMINATION_GOLDEN = [
+    (["mat", "rank", "3 6 6 9 1; 2 4 1 2 0; -1 -2 4 5 1"],
+     "rank = 2\n3 6  6  9    1\n0 0 -3 -4 -2/3\n0 0  0  0    0\n"
+     "ops: IIv-(2/3)Iv; IIIv-(-1/3)Iv; IIIv-(-2)IIv",
+     '{"echelon":[[{"den":1,"num":3},{"den":1,"num":6},{"den":1,"n'
+     'um":6},{"den":1,"num":9},{"den":1,"num":1}],[{"den":1,"num":'
+     '0},{"den":1,"num":0},{"den":1,"num":-3},{"den":1,"num":-4},{'
+     '"den":3,"num":-2}],[{"den":1,"num":0},{"den":1,"num":0},{"de'
+     'n":1,"num":0},{"den":1,"num":0},{"den":1,"num":0}]],"op_log"'
+     ':["IIv-(2/3)Iv","IIIv-(-1/3)Iv","IIIv-(-2)IIv"],"pivot_cols"'
+     ':[0,2],"rank":2}'),
+    (["mat", "rank", "0 2 -1; 1/2 1 3; 1 6 5; 0 0 0"],
+     "rank = 3\n1/2 1  3\n  0 2 -1\n  0 0  1\n  0 0  0\nops: Iv<->IIv; IIIv-(2)Iv; IIIv-(2)IIv",
+     '{"echelon":[[{"den":2,"num":1},{"den":1,"num":1},{"den":1,"n'
+     'um":3}],[{"den":1,"num":0},{"den":1,"num":2},{"den":1,"num":'
+     '-1}],[{"den":1,"num":0},{"den":1,"num":0},{"den":1,"num":1}]'
+     ',[{"den":1,"num":0},{"den":1,"num":0},{"den":1,"num":0}]],"o'
+     'p_log":["Iv<->IIv","IIIv-(2)Iv","IIIv-(2)IIv"],"pivot_cols":'
+     '[0,1,2],"rank":3}'),
+    (["mat", "adj", "1 2 3; 4 5 6; 7 8 9"],
+     "-3   6 -3\n 6 -12  6\n-3   6 -3",
+     '{"matrix":[[{"den":1,"num":-3},{"den":1,"num":6},{"den":1,"n'
+     'um":-3}],[{"den":1,"num":6},{"den":1,"num":-12},{"den":1,"nu'
+     'm":6}],[{"den":1,"num":-3},{"den":1,"num":6},{"den":1,"num":'
+     "-3}]]}"),
+    (["mat", "solveq", "left", "2 -3; 0 1", "1 2; 3 4"],
+     "5 7\n3 4",
+     '{"matrix":[[{"den":1,"num":5},{"den":1,"num":7}],[{"den":1,"'
+     'num":3},{"den":1,"num":4}]]}'),
+    (["mat", "solveq", "right", "2 -3; 0 1", "1 2; 3 4"],
+     "1/2  7/2\n3/2 17/2",
+     '{"matrix":[[{"den":2,"num":1},{"den":2,"num":7}],[{"den":2,"'
+     'num":3},{"den":2,"num":17}]]}'),
+    (["sys", "classify", "1 1; 1 -1 | 2 0"],
+     "rank A = 2, rank A|b = 2, unknowns = 2: unique",
+     '{"n_unknowns":2,"rank_a":2,"rank_ab":2,"verdict":"unique"}'),
+    (["sys", "classify", "1 2 -1; 2 4 -2; 1 0 1 | 1 2 3"],
+     "rank A = 2, rank A|b = 2, unknowns = 3: infinite",
+     '{"n_unknowns":3,"rank_a":2,"rank_ab":2,"verdict":"infinite"}'),
+    (["sys", "gauss", "1 2 -1; 2 4 -2; 1 0 1 | 1 3 3"],
+     "inconsistent",
+     '{"solution":{"kind":"inconsistent"}}'),
+    (["sys", "gauss", "1 2 0 3; 0 0 1 1/2; 1 2 1 7/2 | 4 1 5"],
+     "x1 = -2*t1 - 3*t2 + 4\nx2 = t1\nx3 = -1/2*t2 + 1\nx4 = t2\nfree columns: 2, 4",
+     '{"solution":{"directions":[[{"den":1,"num":-2},{"den":1,"num'
+     '":1},{"den":1,"num":0},{"den":1,"num":0}],[{"den":1,"num":-3'
+     '},{"den":1,"num":0},{"den":2,"num":-1},{"den":1,"num":1}]],"'
+     'free_cols":[1,3],"kind":"parametric","particular":[{"den":1,'
+     '"num":4},{"den":1,"num":0},{"den":1,"num":1},{"den":1,"num":'
+     "0}]}}"),
+    (["sys", "invmethod", "2 1 0; 1 3 -1; 0 -1 4 | 1/2 5 -3"],
+     "x1 = -23/36, x2 = 16/9, x3 = -11/36",
+     '{"solution":{"kind":"unique","values":[{"den":36,"num":-23},'
+     '{"den":9,"num":16},{"den":36,"num":-11}]}}'),
+    (["sys", "homogeneous", "1 2 3; 4 5 6; 7 8 9"],
+     "trivial only: false\nx1 = t1\nx2 = -2*t1\nx3 = t1\nfree columns: 3",
+     '{"solutions":{"directions":[[{"den":1,"num":1},{"den":1,"num'
+     '":-2},{"den":1,"num":1}]],"free_cols":[2],"kind":"parametric'
+     '","particular":[{"den":1,"num":0},{"den":1,"num":0},{"den":1'
+     ',"num":0}]},"trivial_only":false}'),
+    (["sys", "homogeneous", "2 1; 1 3"],
+     "trivial only: true\nx1 = 0, x2 = 0",
+     '{"solutions":{"kind":"unique","values":[{"den":1,"num":0},{"'
+     'den":1,"num":0}]},"trivial_only":true}'),
+]
+
+
+@pytest.mark.parametrize("argv,text,payload", ELIMINATION_GOLDEN,
+                         ids=[" ".join(argv) for argv, _, _ in ELIMINATION_GOLDEN])
+def test_elimination_golden(argv, text, payload, capsys):
+    """Outputs of every command built on row elimination, text and --json."""
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out == text + "\n"
+    assert dispatch(["--json"] + argv) == 0
+    assert capsys.readouterr().out == payload + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--json", "sys", "gauss", "1 1 1; 2 3 -1; 1 2 -2; 3 5 -3 | 3 4 1 5"],
     ["--json", "mat", "rank", "3 6 6 9 1; 2 4 1 2 0; -1 -2 4 5 1"],
