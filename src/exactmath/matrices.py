@@ -1,7 +1,8 @@
 """Exact rational matrices: arithmetic, determinants by Laplace expansion,
 rational elimination and the Sarrus rule, minors/cofactors/adjugate, the
-inverse, rank via elementary row operations (with an operation log in the
-text's Iv/IIv notation), and the matrix equations AX=B and XA=B.
+inverse by Gauss-Jordan elimination, rank via elementary row operations
+(with an operation log in the text's Iv/IIv notation), and the matrix
+equations AX=B and XA=B.
 """
 
 from dataclasses import dataclass
@@ -112,6 +113,49 @@ def transpose(a: Matrix) -> Matrix:
     return Matrix([a.col(j) for j in range(a.n)])
 
 
+# -- row elimination: the one kernel behind det, inverse, rank and systems --
+
+def _forward(rows, width):
+    """Forward elimination in place on a list of row lists, over the first
+    `width` columns; the pivot is the first nonzero entry at or below the
+    current row.  Zero rows end up at the bottom.
+
+    Returns (pivot_cols, ops).  Each op is (i, factor, j): row i -= factor *
+    row j, or rows i and j swapped when factor is None.
+    """
+    m = len(rows)
+    pivots, ops = [], []
+    for col in range(width):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, m) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            ops.append((r, None, pivot_row))
+        top = rows[r]
+        for i in range(r + 1, m):
+            factor = rows[i][col] / top[col]
+            if factor != 0:
+                rows[i][col:] = [x - factor * y for x, y in zip(rows[i][col:], top[col:])]
+                ops.append((i, factor, r))
+        pivots.append(col)
+    return pivots, ops
+
+
+def _reduce(rows, pivots):
+    """Back-substitution in place: a forward-eliminated matrix with the
+    given pivot columns becomes its reduced row-echelon form."""
+    for r, col in reversed(list(enumerate(pivots))):
+        top = rows[r]
+        pivot = top[col]
+        top[col:] = [x / pivot for x in top[col:]]
+        for i in range(r):
+            factor = rows[i][col]
+            if factor != 0:
+                rows[i][col:] = [x - factor * y for x, y in zip(rows[i][col:], top[col:])]
+
+
 # -- determinants ----------------------------------------------------------
 
 def _submatrix(a: Matrix, drop_i: int, drop_j: int) -> Matrix:
@@ -144,23 +188,12 @@ def _det_laplace(a: Matrix) -> Fraction:
 
 def _det_elimination(a: Matrix) -> Fraction:
     rows = [list(row) for row in a.entries]
-    n = len(rows)
-    sign = 1
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        det *= pivot
-        for i in range(col + 1, n):
-            factor = rows[i][col] / pivot
-            if factor != 0:
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[col])]
-    return sign * det
+    _, ops = _forward(rows, a.n)
+    # a singular matrix leaves a zero last row, so the diagonal product is 0
+    det = Fraction((-1) ** sum(factor is None for _, factor, _ in ops))
+    for i in range(a.n):
+        det *= rows[i][i]
+    return det
 
 
 def _det_sarrus(a: Matrix) -> Fraction:
@@ -215,17 +248,16 @@ def adjugate(a: Matrix) -> Matrix:
 
 
 def inverse(a: Matrix) -> Matrix:
-    """A^-1 = adj(A) / det(A); raises Singular when det A = 0."""
+    """A^-1 by Gauss-Jordan elimination on [A | I]; raises Singular when det A = 0."""
     if not a.is_square():
         raise NotSquare(f"inverse of a {a.m}x{a.n} matrix")
-    if a.n == 1:
-        if a[0, 0] == 0:
-            raise Singular("singular matrix")
-        return Matrix([[1 / a[0, 0]]])
-    d = det(a)
-    if d == 0:
+    n = a.n
+    rows = [list(row + e) for row, e in zip(a.entries, Matrix.identity(n).entries)]
+    pivots, _ = _forward(rows, n)
+    if len(pivots) < n:
         raise Singular("singular matrix")
-    return scale(1 / d, adjugate(a))
+    _reduce(rows, pivots)
+    return Matrix([row[n:] for row in rows])
 
 
 # -- rank ------------------------------------------------------------------
@@ -252,31 +284,13 @@ def rank(a: Matrix) -> EchelonReport:
     operations in the text's notation ("IIv-2Iv", "Iv<->IIv").
     """
     rows = [list(row) for row in a.entries]
-    m, n = a.m, a.n
-    log = []
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            log.append(f"{_roman(r)}v<->{_roman(pivot_row)}v")
-        pivot = rows[r][col]
-        for i in range(r + 1, m):
-            factor = rows[i][col] / pivot
-            if factor != 0:
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-                log.append(f"{_roman(i)}v-({format_rational(factor)}){_roman(r)}v")
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    zero_rows = [i for i in range(m) if all(x == 0 for x in rows[i])]
-    live_rows = [rows[i] for i in range(m) if i not in zero_rows]
-    echelon = Matrix(live_rows + [rows[i] for i in zero_rows]) if live_rows else Matrix(rows)
-    return EchelonReport(echelon, len(pivots), tuple(pivots), tuple(log))
+    pivots, ops = _forward(rows, a.n)
+    log = tuple(
+        f"{_roman(i)}v<->{_roman(j)}v" if factor is None
+        else f"{_roman(i)}v-({format_rational(factor)}){_roman(j)}v"
+        for i, factor, j in ops
+    )
+    return EchelonReport(Matrix(rows), len(pivots), tuple(pivots), log)
 
 
 # -- matrix equations ------------------------------------------------------

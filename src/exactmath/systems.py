@@ -9,8 +9,8 @@ parameters t1, t2, ...; any instantiation satisfies the system exactly.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotSquare, ShapeMismatch, SingularSystem
-from .matrices import Matrix, det, inverse, matmul, rank
+from .errors import NotSquare, ShapeMismatch, Singular, SingularSystem
+from .matrices import Matrix, _forward, _reduce, det, inverse, matmul
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,12 @@ SolutionSet = Inconsistent | Unique | Parametric
 
 def classify(sys: LinearSystem) -> ConsistencyReport:
     """Kronecker-Capelli: consistent iff rank A = rank (A|b); unique iff
-    that common rank equals the number of unknowns."""
-    r_a = rank(sys.a).rank
-    r_ab = rank(sys.augmented()).rank
+    that common rank equals the number of unknowns.  Both ranks come from
+    one elimination of A|b: rank A counts its pivots in the first n columns."""
     n = sys.a.n
+    pivots, _ = _forward([list(row) for row in sys.augmented().entries], n + 1)
+    r_ab = len(pivots)
+    r_a = sum(col < n for col in pivots)
     if r_a != r_ab:
         verdict = "inconsistent"
     elif r_a == n:
@@ -97,41 +99,24 @@ def classify(sys: LinearSystem) -> ConsistencyReport:
 def solve_gauss(sys: LinearSystem) -> SolutionSet:
     """Reduce the augmented matrix to echelon form and back-substitute."""
     rows = [list(row) + [rhs] for row, rhs in zip(sys.a.entries, sys.b)]
-    m, n = sys.a.m, sys.a.n
-    pivots = []  # (row, col)
-    r = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(r, m) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][col]
-        rows[r] = [x / pivot for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == m:
-            break
-    # inconsistency: a zero row of A with nonzero right-hand side
-    for i in range(r, m):
-        if all(x == 0 for x in rows[i][:n]) and rows[i][n] != 0:
-            return Inconsistent()
-    pivot_cols = [col for _, col in pivots]
-    free_cols = [j for j in range(n) if j not in pivot_cols]
+    n = sys.a.n
+    pivots, _ = _forward(rows, n)
+    # inconsistency: a zero row of A (all are below the pivots) with nonzero b
+    if any(row[n] != 0 for row in rows[len(pivots):]):
+        return Inconsistent()
+    _reduce(rows, pivots)
+    free_cols = [j for j in range(n) if j not in pivots]
     particular = [Fraction(0)] * n
-    for row, col in pivots:
-        particular[col] = rows[row][n]
+    for row, col in zip(rows, pivots):
+        particular[col] = row[n]
     if not free_cols:
         return Unique(tuple(particular))
     directions = []
     for free in free_cols:
         direction = [Fraction(0)] * n
         direction[free] = Fraction(1)
-        for row, col in pivots:
-            direction[col] = -rows[row][free]
+        for row, col in zip(rows, pivots):
+            direction[col] = -row[free]
         directions.append(tuple(direction))
     return Parametric(tuple(particular), tuple(directions), tuple(free_cols))
 
@@ -159,7 +144,7 @@ def solve_inverse_method(sys: LinearSystem) -> Unique:
         raise NotSquare("the inverse-matrix method needs a square system")
     try:
         a_inv = inverse(sys.a)
-    except Exception as exc:
+    except Singular as exc:
         raise SingularSystem(str(exc)) from exc
     column = Matrix([[x] for x in sys.b])
     product = matmul(a_inv, column)
@@ -172,6 +157,6 @@ def homogeneous_analysis(a: Matrix) -> dict:
     sys = LinearSystem(a, [Fraction(0)] * a.m)
     solutions = solve_gauss(sys)
     trivial_only = isinstance(solutions, Unique)
-    if a.is_square():
-        assert trivial_only == (det(a) != 0)
+    if a.is_square() and trivial_only != (det(a) != 0):
+        raise RuntimeError("elimination and the determinant disagree on A·x = 0")
     return {"trivial_only": trivial_only, "solutions": solutions}
