@@ -222,7 +222,10 @@ def cmd_nt(args):
         digits = arith.to_base(args.n, args.base)
         return str(digits), {"base": digits.base, "digits": list(digits.coeffs)}
     if args.op == "frombase":
-        coeffs = tuple(int(ch, 16) for ch in args.digits)
+        try:
+            coeffs = tuple(int(ch, 16) for ch in args.digits)
+        except ValueError:
+            raise ParseError(f"not a digit string (0-9, a-f): {args.digits!r}") from None
         value = arith.from_base(arith.Digits(args.base, coeffs))
         return str(value), {"value": value}
     if args.op == "divmod":
@@ -377,6 +380,8 @@ def cmd_cx(args):
 def cmd_mat(args):
     if args.op == "arith":
         a = matrices.Matrix.from_string(read_arg(args.a))
+        if args.b is None and args.matop != "transpose":
+            raise ParseError(f"{args.matop} needs a second operand")
         if args.matop in ("add", "sub"):
             result = matrices.mat_arith(a, matrices.Matrix.from_string(read_arg(args.b)), args.matop)
         elif args.matop == "mul":
@@ -456,6 +461,9 @@ def cmd_geo(args):
             lines.append(f"proj = {fmt(payload['proj_a_onto_b'])}")
         return "\n".join(lines), payload
     if args.op == "plane":
+        wanted = 3 if args.kind == "three" else 2
+        if len(args.points) != wanted:
+            raise ParseError(f"plane {args.kind} takes {wanted} vectors, got {len(args.points)}")
         if args.kind == "three":
             plane = geometry.plane_three_points(*(parsing.parse_vec3(p) for p in args.points))
         else:

@@ -217,6 +217,23 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["mat", "arith", "scale", "1 2; 3 4"],
+    ["mat", "arith", "add", "1 2; 3 4"],
+    ["mat", "arith", "sub", "1 2; 3 4"],
+    ["mat", "arith", "mul", "1 2; 3 4"],
+    ["geo", "plane", "three", "(1,2,3)"],
+    ["geo", "plane", "three", "(1,0,0)", "(0,1,0)", "(0,0,1)", "(1,1,1)"],
+    ["geo", "plane", "normal", "(1,2,3)"],
+    ["nt", "frombase", "zz", "16"],
+], ids=" ".join)
+def test_missing_or_malformed_operand_is_a_parse_error(argv, capsys):
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["mat", "det"])
