@@ -1,4 +1,4 @@
-"""Worked examples: determinants by three methods, adjugate inverses, rank
+"""Worked examples: determinants by three methods, the inverse, rank
 by elementary transformations, and linear systems by Gauss, Cramer, and the
 inverse-matrix method."""
 
