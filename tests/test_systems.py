@@ -126,6 +126,22 @@ def test_homogeneous_4x3_family():
     assert solution.directions == ((F(1), F(-1), F(1)),)
 
 
+def test_homogeneous_invariant_failure_is_not_a_domain_error(monkeypatch):
+    # elimination and det must agree on square A; a disagreement is a bug,
+    # raised as such (not as a KernelError) and kept under python -O
+    monkeypatch.setattr("exactmath.systems.det", lambda a: F(0))
+    with pytest.raises(RuntimeError):
+        homogeneous_analysis(Matrix([[1, 2], [3, 4]]))
+
+
+def test_inverse_method_reports_only_singularity_as_singular_system(monkeypatch):
+    def broken_inverse(a):
+        raise ZeroDivisionError("not a singular-matrix report")
+    monkeypatch.setattr("exactmath.systems.inverse", broken_inverse)
+    with pytest.raises(ZeroDivisionError):
+        solve_inverse_method(TOY_UNIQUE)
+
+
 def test_methods_agree_on_random_regular_systems(rng):
     for _ in range(200):
         n = rng.randint(1, 5)
