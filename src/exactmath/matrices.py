@@ -281,7 +281,7 @@ def rank(a: Matrix) -> EchelonReport:
     """Row-echelon form via the elementary transformations.
 
     Pivots are the first nonzero entry in each column; the log records the
-    operations in the text's notation ("IIv-2Iv", "Iv<->IIv").
+    operations in the text's notation ("IIv-(2)Iv", "Iv<->IIv").
     """
     rows = [list(row) for row in a.entries]
     pivots, ops = _forward(rows, a.n)
