@@ -9,7 +9,7 @@ text's row/column convention.
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import CarrierMismatch, TooLarge
+from .errors import CarrierMismatch, OutOfDomain, TooLarge
 
 MAX_CARRIER = 64
 
@@ -70,22 +70,39 @@ def cayley_table(carrier, op) -> Magma:
     return Magma(carrier, table)
 
 
+def _check_modulus(n: int) -> None:
+    if n < 1:
+        raise OutOfDomain(f"modulus must be >= 1, got {n}")
+
+
 def mod_add_table(n: int) -> Magma:
-    """Cayley table of ({0..n-1}, +_n)."""
+    """Cayley table of ({0..n-1}, +_n), n >= 1."""
+    _check_modulus(n)
     return cayley_table(range(n), lambda a, b: (a + b) % n)
 
 
 def mod_mul_table(n: int) -> Magma:
-    """Cayley table of ({0..n-1}, *_n)."""
+    """Cayley table of ({0..n-1}, *_n), n >= 1."""
+    _check_modulus(n)
     return cayley_table(range(n), lambda a, b: (a * b) % n)
+
+
+def _indexed(m: Magma) -> tuple:
+    """The table in carrier indices: row i, column j holds the index of
+    carrier[i] op carrier[j].  A non-closed table has no such form."""
+    index = {c: i for i, c in enumerate(m.carrier)}
+    try:
+        return tuple(tuple(index[entry] for entry in row) for row in m.table)
+    except KeyError as exc:
+        raise CarrierMismatch(f"table entry {exc.args[0]!r} is not in the carrier") from None
 
 
 def classify_structure(m: Magma) -> dict:
     """Law checks by brute force and the resulting structure class.
 
-    Associativity costs |S|^3 table lookups; the carrier cap keeps that
-    cheap.  The neutral element, when reported, is unique (checked), and in
-    a group every inverse is unique and two-sided.
+    Associativity compares |S|^2 rows of |S| indices: the row of a*b with
+    a applied to the row of b.  The neutral element, when reported, is
+    unique (checked), and in a group every inverse is unique and two-sided.
     """
     closed = m.closed
     result = {
@@ -99,24 +116,24 @@ def classify_structure(m: Magma) -> dict:
     if not closed:
         return result
 
-    elements = m.carrier
-    op = m.apply
+    t = _indexed(m)
+    columns = tuple(zip(*t))
+    # (a*b)*c == a*(b*c) for every c, as one row comparison per (a, b)
     result["associative"] = all(
-        op(op(a, b), c) == op(a, op(b, c))
-        for a in elements for b in elements for c in elements
+        t[ab] == tuple(map(row.__getitem__, t[b]))
+        for row in t for b, ab in enumerate(row)
     )
-    result["commutative"] = all(
-        op(a, b) == op(b, a) for a in elements for b in elements
-    )
-    neutrals = [e for e in elements
-                if all(op(a, e) == a and op(e, a) == a for a in elements)]
-    assert len(neutrals) <= 1, "two distinct neutral elements"
+    result["commutative"] = columns == t
+    identity = tuple(range(len(t)))
+    neutrals = [e for e in identity if t[e] == identity and columns[e] == identity]
+    if len(neutrals) > 1:
+        raise RuntimeError("two distinct neutral elements")
     if neutrals:
-        result["neutral"] = neutrals[0]
         e = neutrals[0]
+        result["neutral"] = m.carrier[e]
         result["all_invertible"] = all(
-            any(op(a, x) == e and op(x, a) == e for x in elements)
-            for a in elements
+            any(ax == e and columns[a][x] == e for x, ax in enumerate(row))
+            for a, row in enumerate(t)
         )
 
     if result["associative"]:
@@ -135,26 +152,31 @@ def classify_structure(m: Magma) -> dict:
 def inverses(m: Magma) -> dict:
     """Map each element to its (unique) two-sided inverse, if the structure
     has a neutral element."""
-    info = classify_structure(m)
-    e = info["neutral"]
+    e = classify_structure(m)["neutral"]
     if e is None:
         return {}
+    e = m.carrier.index(e)
+    t = _indexed(m)
     table = {}
-    for a in m.carrier:
-        for x in m.carrier:
-            if m.apply(a, x) == e and m.apply(x, a) == e:
-                table[a] = x
+    for a, row in enumerate(t):
+        for x, ax in enumerate(row):
+            if ax == e and t[x][a] == e:
+                table[m.carrier[a]] = m.carrier[x]
                 break
     return table
 
 
 def check_distributive(m1: Magma, m2: Magma) -> bool:
-    """Is the second operation distributive over the first, both sides?"""
+    """Is the second operation distributive over the first, both sides?
+
+    Both tables must be closed over the shared carrier."""
     if m1.carrier != m2.carrier:
         raise CarrierMismatch("distributivity needs a shared carrier")
-    add, mul = m1.apply, m2.apply
+    add, mul = _indexed(m1), _indexed(m2)
+    # row a of mul applied to b+c, against the sum of a*b with each a*c;
+    # then the same with mul's columns for right distributivity
     return all(
-        mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-        and mul(add(b, c), a) == add(mul(b, a), mul(c, a))
-        for a in m1.carrier for b in m1.carrier for c in m1.carrier
+        tuple(map(times.__getitem__, add[b])) == tuple(map(add[ab].__getitem__, times))
+        for side in (mul, tuple(zip(*mul)))
+        for times in side for b, ab in enumerate(times)
     )

@@ -84,21 +84,42 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return factors
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly for
+# n < 3317044064679887385961981 (Sorenson & Webster 2015, Math. Comp. 86).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality for n >= 1 (1 is not prime)."""
+    """Primality for n >= 1 (1 is not prime): trial division by the primes
+    up to 41, then deterministic Miller-Rabin with those primes as bases
+    below 3.3e24 and trial division above."""
     if n < 1:
         raise OutOfDomain(f"primality requires n >= 1, got {n}")
     if n == 1:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    p = 3
-    while p * p <= n:
+    for p in _MR_BASES:
         if n % p == 0:
+            return n == p
+    if n >= _MR_LIMIT:
+        p = 3
+        while p * p <= n:
+            if n % p == 0:
+                return False
+            p += 2
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        p += 2
     return True
 
 

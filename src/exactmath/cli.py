@@ -184,9 +184,9 @@ def parse_affine(text: str) -> ratio.Affine:
 
 
 def parse_magma(args) -> algstruct.Magma:
-    if args.addmod:
+    if args.addmod is not None:
         return algstruct.mod_add_table(args.addmod)
-    if args.mulmod:
+    if args.mulmod is not None:
         return algstruct.mod_mul_table(args.mulmod)
     if not args.table:
         raise ParseError("give a table (or --addmod/--mulmod N)")

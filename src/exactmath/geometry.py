@@ -333,7 +333,8 @@ def line_plane_intersection_line(p1: Plane, p2: Plane) -> Line:
         [(p2.a, p2.b, p2.c)[i] for i in keep],
     ])
     solution = solve_gauss(LinearSystem(a, (-p1.d, -p2.d)))
-    assert isinstance(solution, Unique)
+    if not isinstance(solution, Unique):
+        raise RuntimeError("non-parallel planes gave no unique point on their line")
     coords = [Fraction(0)] * 3
     for i, value in zip(keep, solution.values):
         coords[i] = value
@@ -399,7 +400,8 @@ def lines_relation(l1: Line, l2: Line) -> dict:
             [l1.dir.z, -l2.dir.z],
         ])
         solution = solve_gauss(LinearSystem(a, offset.components()))
-        assert isinstance(solution, Unique)
+        if not isinstance(solution, Unique):
+            raise RuntimeError("coplanar non-parallel lines gave no unique intersection")
         point = l1.at(solution.values[0])
         result["kind"] = "intersecting"
         result["point"] = point

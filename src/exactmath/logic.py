@@ -17,6 +17,7 @@ Atoms match [a-z][a-z0-9]*; parentheses override precedence.
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 
 from .errors import ParseError, TooManyAtoms, UnboundAtom
 
@@ -265,27 +266,64 @@ class TruthTable:
         return "\n".join(lines)
 
 
+def _column(f: Formula, atoms: list[str]) -> int:
+    """The truth column of f as one 2^n-bit integer: bit r is f's value in
+    truth-table row r, so every connective is one bitwise operation."""
+    n = len(atoms)
+    if n > MAX_ATOMS:
+        raise TooManyAtoms(f"{n} atoms exceeds the cap of {MAX_ATOMS}")
+    size = 1 << n
+    full = (1 << size) - 1
+    columns = {}
+    for i, name in enumerate(atoms):
+        # atom i is T on runs of `run` rows alternating with F, T first;
+        # one T-run/F-run period is copied, doubling, over all the rows
+        run = 1 << (n - 1 - i)
+        column, width = (1 << run) - 1, 2 * run
+        while width < size:
+            column |= column << width
+            width *= 2
+        columns[name] = column
+
+    def walk(g):
+        if isinstance(g, Atom):
+            try:
+                return columns[g.name]
+            except KeyError:
+                raise UnboundAtom(f"no value for atom {g.name!r}") from None
+        if isinstance(g, Not):
+            return full ^ walk(g.operand)
+        left = walk(g.left)
+        right = walk(g.right)
+        if isinstance(g, And):
+            return left & right
+        if isinstance(g, Or):
+            return left | right
+        if isinstance(g, Xor):
+            return left ^ right
+        if isinstance(g, Implies):
+            return (full ^ left) | right
+        return full ^ (left ^ right)  # Iff
+
+    return walk(f)
+
+
 def truth_table(f: Formula) -> TruthTable:
     """All 2^n assignments, first atom varying slowest, T before F."""
     atoms = f.atoms()
-    if len(atoms) > MAX_ATOMS:
-        raise TooManyAtoms(f"{len(atoms)} atoms exceeds the cap of {MAX_ATOMS}")
-    rows = []
-    for mask in range(2 ** len(atoms)):
-        # bit 0 of the row index drives the last atom; T (True) comes first
-        values = tuple(
-            not (mask >> (len(atoms) - 1 - i)) & 1 for i in range(len(atoms))
-        )
-        rows.append((values, evaluate(f, dict(zip(atoms, values)))))
+    size = 1 << len(atoms)
+    # the column's bits, row 0 first
+    bits = format(_column(f, atoms), "b").zfill(size)[::-1]
+    rows = zip(product((True, False), repeat=len(atoms)), map("1".__eq__, bits))
     return TruthTable(tuple(atoms), tuple(rows))
 
 
 def classify(f: Formula) -> Classification:
-    table = truth_table(f)
-    results = [result for _, result in table.rows]
-    if all(results):
+    atoms = f.atoms()
+    column = _column(f, atoms)
+    if column == (1 << (1 << len(atoms))) - 1:
         return Classification.TAUTOLOGY
-    if not any(results):
+    if column == 0:
         return Classification.CONTRADICTION
     return Classification.CONTINGENT
 

@@ -80,6 +80,8 @@ class Matrix:
                 rows.append([parse_rational(tok) for tok in chunk.split()])
         if not rows:
             raise ParseError("empty matrix literal")
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ParseError("ragged rows")
         return Matrix(rows)
 
 

@@ -27,6 +27,14 @@ class FinSet:
         _check_atoms(elements)
         object.__setattr__(self, "elements", tuple(sorted(elements)))
 
+    @classmethod
+    def _canonical(cls, elements: tuple) -> "FinSet":
+        """Wrap a tuple that is already duplicate-free, sorted and of one
+        atom kind, skipping the checks of __init__."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "elements", elements)
+        return s
+
     def __len__(self):
         return len(self.elements)
 
@@ -67,10 +75,12 @@ def powerset(a: FinSet) -> list[FinSet]:
     """All 2^|a| subsets, ordered by bitmask over the sorted elements."""
     if len(a) > MAX_POWERSET:
         raise TooLarge(f"power set of {len(a)} elements is too large")
-    subsets = []
-    for mask in range(2 ** len(a)):
-        subsets.append(FinSet(e for i, e in enumerate(a.elements) if mask >> i & 1))
-    return subsets
+    # doubling keeps the mask order: the copies made for element i are
+    # exactly the masks with bit i set
+    subsets = [()]
+    for e in a.elements:
+        subsets += [s + (e,) for s in subsets]
+    return [FinSet._canonical(s) for s in subsets]
 
 
 def cartesian(a: FinSet, b: FinSet) -> list[tuple]:

@@ -13,7 +13,7 @@ from exactmath import (
     mod_add_table,
     mod_mul_table,
 )
-from exactmath.errors import CarrierMismatch, TooLarge
+from exactmath.errors import CarrierMismatch, OutOfDomain, TooLarge
 
 
 def test_magma_shape_checks():
@@ -54,6 +54,18 @@ def test_mod_distributivity():
     assert not check_distributive(mod_mul_table(6), mod_add_table(6))
     with pytest.raises(CarrierMismatch):
         check_distributive(mod_add_table(5), mod_add_table(6))
+    # an entry outside the shared carrier is a carrier mismatch, not a
+    # leaked lookup error
+    with pytest.raises(CarrierMismatch):
+        check_distributive(Magma((0, 1), ((0, 1), (1, 2))), mod_mul_table(2))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_modular_tables_need_a_positive_modulus(n):
+    with pytest.raises(OutOfDomain):
+        mod_add_table(n)
+    with pytest.raises(OutOfDomain):
+        mod_mul_table(n)
 
 
 def _gauss(re, im):

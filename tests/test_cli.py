@@ -226,12 +226,22 @@ def test_parse_error_exit_code(capsys):
     ["geo", "plane", "three", "(1,0,0)", "(0,1,0)", "(0,0,1)", "(1,1,1)"],
     ["geo", "plane", "normal", "(1,2,3)"],
     ["nt", "frombase", "zz", "16"],
+    ["mat", "det", "1 2; 3"],
 ], ids=" ".join)
 def test_missing_or_malformed_operand_is_a_parse_error(argv, capsys):
     assert dispatch(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["alg", "classify", "--addmod", "0"], "out of domain: modulus must be >= 1, got 0"),
+    (["alg", "classify", "--mulmod", "-1"], "out of domain: modulus must be >= 1, got -1"),
+], ids=["addmod 0", "mulmod -1"])
+def test_nonpositive_modulus_is_a_domain_error(argv, err, capsys):
+    assert dispatch(argv) == 1
+    assert capsys.readouterr() == ("", err + "\n")
 
 
 def test_usage_error_exit_code(capsys):

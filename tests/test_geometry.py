@@ -54,6 +54,7 @@ from exactmath.errors import (
     ZeroCoefficient,
     ZeroVector,
 )
+from exactmath.systems import Inconsistent
 
 TOL = 1e-9
 F = Fraction
@@ -233,6 +234,17 @@ def test_plane_pair_line_fixture():
     assert line.contains(Vec3(0, 15, -19))
     with pytest.raises(ParallelPlanes):
         line_plane_intersection_line(Plane(1, 1, 1, 0), Plane(2, 2, 2, -5))
+
+
+def test_solver_invariant_failures_are_not_domain_errors(monkeypatch):
+    # non-parallel planes and coplanar non-parallel lines always meet in a
+    # unique point; a solver saying otherwise is a bug, kept under python -O
+    monkeypatch.setattr("exactmath.geometry.solve_gauss", lambda system: Inconsistent())
+    with pytest.raises(RuntimeError):
+        line_plane_intersection_line(Plane(2, -1, -1, -4), Plane(2, -3, -2, 7))
+    with pytest.raises(RuntimeError):
+        lines_relation(line_point_dir(Vec3(0, 0, 0), Vec3(1, 2, 3)),
+                       line_point_dir(Vec3(1, 2, 0), Vec3(0, 0, 1)))
 
 
 def test_line_parametric():

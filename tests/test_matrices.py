@@ -48,6 +48,9 @@ def test_from_string():
     assert Matrix.from_string("1/2 0\n-1 3") == Matrix([[F(1, 2), 0], [-1, 3]])
     with pytest.raises(ParseError):
         Matrix.from_string("  ")
+    # a ragged literal is malformed input, not a shape error of the kernel
+    with pytest.raises(ParseError):
+        Matrix.from_string("1 2; 3")
 
 
 def test_arithmetic():
