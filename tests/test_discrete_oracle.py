@@ -207,23 +207,19 @@ def test_check_distributive_matches_brute_force(pair):
         assert check_distributive(m1, m2) is want
 
 
-def test_one_sided_neutrals_are_not_neutral():
+def test_one_sided_neutrals_and_inverses_do_not_count():
     # x*y = y: every element is a left neutral, none is two-sided
     m = Magma((0, 1), ((0, 1), (0, 1)))
     info = classify_structure(m)
     assert info["neutral"] is None
     assert info["class"] is StructureClass.SEMIGROUP
     assert inverses(m) == {}
-
-
-def test_one_sided_inverses_are_not_inverses():
     # e is neutral and every element has a right inverse, but a*b = e while
     # b*a = a, so a has no two-sided inverse
     m = Magma(("e", "a", "b"), (("e", "a", "b"), ("a", "b", "e"), ("b", "a", "e")))
     info = classify_structure(m)
-    assert info["neutral"] == "e"
-    assert info["all_invertible"] is False
     assert info == reference_classify(m.carrier, m.table)
+    assert info["neutral"] == "e" and info["all_invertible"] is False
     assert inverses(m) == {"e": "e", "b": "b"}
 
 
