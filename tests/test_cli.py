@@ -188,6 +188,412 @@ def test_elimination_golden(argv, text, payload, capsys):
     assert capsys.readouterr().out == payload + "\n"
 
 
+# One argv per (group, op) and per `choices` value, text and --json.
+COMMAND_GOLDEN = [
+    (["nt", "gcd", "252", "198"],
+     "18",
+     '{"gcd":18,"trace":[[252,198,1,54],[198,54,3,36],[54,36,1,18],['
+     "36,18,2,0]]}"),
+    (["nt", "lcm", "90", "24"],
+     "360",
+     '{"lcm":360}'),
+    (["nt", "factor", "360"],
+     "2^3 * 3^2 * 5",
+     '{"factors":[[2,3],[3,2],[5,1]]}'),
+    (["nt", "prime", "97"],
+     "true",
+     '{"prime":true}'),
+    (["nt", "tobase", "255", "16"],
+     "ff",
+     '{"base":16,"digits":[15,15]}'),
+    (["nt", "frombase", "ff", "16"],
+     "255",
+     '{"value":255}'),
+    (["nt", "divmod", "-47", "5"],
+     "q = -10, r = 3",
+     '{"q":-10,"r":3}'),
+    (["comb", "fact", "5"],
+     "120",
+     '{"factorial":120}'),
+    (["comb", "binom", "7", "2"],
+     "21",
+     '{"binom":21}'),
+    (["comb", "expand", "2", "1", "1", "-1", "0"],
+     "1 - 2*x + x^2",
+     '{"terms":[{"coeff":{"den":1,"num":1},"exponent":{"den":1,"num"'
+     ':0}},{"coeff":{"den":1,"num":-2},"exponent":{"den":1,"num":1}}'
+     ',{"coeff":{"den":1,"num":1},"exponent":{"den":1,"num":2}}]}'),
+    (["comb", "term", "12", "4", "1", "1/2", "1", "2/3"],
+     "495*x^(20/3)",
+     '{"term":{"coeff":{"den":1,"num":495},"exponent":{"den":3,"num"'
+     ":20}}}"),
+    (["comb", "sum", "first_n", "5"],
+     "15",
+     '{"sum":{"den":1,"num":15}}'),
+    (["comb", "sum", "odd", "5"],
+     "25",
+     '{"sum":{"den":1,"num":25}}'),
+    (["comb", "sum", "triangular", "5"],
+     "35",
+     '{"sum":{"den":1,"num":35}}'),
+    (["comb", "sum", "squares", "5"],
+     "55",
+     '{"sum":{"den":1,"num":55}}'),
+    (["comb", "sum", "recip_consecutive", "5"],
+     "5/6",
+     '{"sum":{"den":6,"num":5}}'),
+    (["comb", "sum", "recip_odd", "5"],
+     "5/11",
+     '{"sum":{"den":11,"num":5}}'),
+    (["comb", "sum", "product_consecutive", "5"],
+     "70",
+     '{"sum":{"den":1,"num":70}}'),
+    (["logic", "table", "p & !q"],
+     "p q | *\n"
+     "-------\n"
+     "T T | F\n"
+     "T F | T\n"
+     "F T | F\n"
+     "F F | F",
+     '{"atoms":["p","q"],"rows":[[[true,true],false],[[true,false],t'
+     "rue],[[false,true],false],[[false,false],false]]}"),
+    (["logic", "classify", "p"],
+     "contingent",
+     '{"classification":"contingent"}'),
+    (["logic", "equiv", "p", "q"],
+     "false",
+     '{"equivalent":false}'),
+    (["set", "ops", "union", "{a,b,c}", "{c,d}"],
+     "{a, b, c, d}",
+     '{"result":["a","b","c","d"]}'),
+    (["set", "ops", "intersect", "{a,b,c}", "{c,d}"],
+     "{c}",
+     '{"result":["c"]}'),
+    (["set", "ops", "diff", "{a,b,c}", "{c,d}"],
+     "{a, b}",
+     '{"result":["a","b"]}'),
+    (["set", "ops", "symdiff", "{a,b,c}", "{c,d}"],
+     "{a, b, d}",
+     '{"result":["a","b","d"]}'),
+    (["set", "ops", "complement", "{a,b}", "{a,b,c,d}"],
+     "{c, d}",
+     '{"result":["c","d"]}'),
+    (["set", "power", "{1,2}"],
+     "{}\n"
+     "{1}\n"
+     "{2}\n"
+     "{1, 2}",
+     '{"subsets":[[],[1],[2],[1,2]]}'),
+    (["set", "cart", "{1,2}", "{a,b}"],
+     "(1, a), (1, b), (2, a), (2, b)",
+     '{"pairs":[[1,"a"],[1,"b"],[2,"a"],[2,"b"]]}'),
+    (["set", "venn3", "35", "18", "22", "6", "11", "4", "1"],
+     "third set: 15\n"
+     "e: 6\n"
+     "enj: 10\n"
+     "f: 9\n"
+     "fe: 5\n"
+     "fenj: 1\n"
+     "fnj: 3\n"
+     "nj: 1",
+     '{"regions":{"e":6,"enj":10,"f":9,"fe":5,"fenj":1,"fnj":3,"nj":'
+     '1},"third_set":15}'),
+    (["rel", "props", "{(1,1),(2,2),(1,2)}"],
+     "reflexive: true\n"
+     "antireflexive: false\n"
+     "symmetric: false\n"
+     "antisymmetric: true\n"
+     "transitive: true\n"
+     "equivalence: false\n"
+     "partial_order: true",
+     '{"antireflexive":false,"antisymmetric":true,"equivalence":fals'
+     'e,"partial_order":true,"reflexive":true,"symmetric":false,"tra'
+     'nsitive":true}'),
+    (["rel", "props", "{(1,2)}", "--on", "{1,2,3}"],
+     "reflexive: false\n"
+     "antireflexive: true\n"
+     "symmetric: false\n"
+     "antisymmetric: true\n"
+     "transitive: true\n"
+     "equivalence: false\n"
+     "partial_order: false",
+     '{"antireflexive":true,"antisymmetric":true,"equivalence":false'
+     ',"partial_order":false,"reflexive":false,"symmetric":false,"tr'
+     'ansitive":true}'),
+    (["rel", "classes", "{(1,1),(2,2),(1,2),(2,1),(3,3)}"],
+     "{1, 2}\n"
+     "{3}",
+     '{"classes":[[1,2],[3]],"is_equivalence":true}'),
+    (["rel", "classes", "{(1,1)}", "--on", "{1,2}"],
+     "not an equivalence relation",
+     '{"is_equivalence":false}'),
+    (["rel", "compose", "{(1,2),(2,3)}", "{(2,4),(3,9)}"],
+     "{(1, 4), (2, 9)}",
+     '{"pairs":[[1,4],[2,9]]}'),
+    (["rel", "inverse", "{(1,2),(3,4)}"],
+     "{(2, 1), (4, 3)}",
+     '{"pairs":[[2,1],[4,3]]}'),
+    (["alg", "cayley", "--addmod", "3"],
+     "* | 0 | 1 | 2\n"
+     "-------------\n"
+     "0 | 0 | 1 | 2\n"
+     "1 | 1 | 2 | 0\n"
+     "2 | 2 | 0 | 1",
+     '{"carrier":[0,1,2],"table":[[0,1,2],[1,2,0],[2,0,1]]}'),
+    (["alg", "cayley", "e a\ne a\na e"],
+     "* | e | a\n"
+     "---------\n"
+     "e | e | a\n"
+     "a | a | e",
+     '{"carrier":["e","a"],"table":[["e","a"],["a","e"]]}'),
+    (["alg", "classify", "--mulmod", "6"],
+     "class: monoid\n"
+     "closed: true\n"
+     "associative: true\n"
+     "commutative: true\n"
+     "all_invertible: false\n"
+     "neutral: 1",
+     '{"all_invertible":false,"associative":true,"class":"monoid","c'
+     'losed":true,"commutative":true,"neutral":1}'),
+    (["alg", "classify", "a b\na a\nb b"],
+     "class: semigroup\n"
+     "closed: true\n"
+     "associative: true\n"
+     "commutative: false\n"
+     "all_invertible: false\n"
+     "neutral: none",
+     '{"all_invertible":false,"associative":true,"class":"semigroup"'
+     ',"closed":true,"commutative":false,"neutral":null}'),
+    (["cx", "arith", "add", "3+4i", "2-5i"],
+     "5-i",
+     '{"result":{"im":{"den":1,"num":-1},"re":{"den":1,"num":5}}}'),
+    (["cx", "arith", "sub", "3+4i", "2-5i"],
+     "1+9i",
+     '{"result":{"im":{"den":1,"num":9},"re":{"den":1,"num":1}}}'),
+    (["cx", "arith", "mul", "3+4i", "2-5i"],
+     "26-7i",
+     '{"result":{"im":{"den":1,"num":-7},"re":{"den":1,"num":26}}}'),
+    (["cx", "arith", "div", "3+4i", "2-5i"],
+     "-14/29+23/29i",
+     '{"result":{"im":{"den":29,"num":23},"re":{"den":29,"num":-14}}'
+     "}"),
+    (["cx", "polar", "1+i"],
+     "r = 1.414213562, theta = 0.7853981634 rad (45 deg)",
+     '{"polar":{"r":1.4142135623730951,"theta":0.7853981633974483}}'),
+    (["cx", "pow", "1+i", "8"],
+     "r = 16, theta = 0 rad (0 deg)\n"
+     "xy = (16, 0)",
+     '{"polar":{"r":16.000000000000007,"theta":0.0},"xy":[16.0000000'
+     "00000007,0.0]}"),
+    (["cx", "roots", "-4", "2"],
+     "r = 2, theta = 1.570796327 rad (90 deg)\n"
+     "r = 2, theta = 4.71238898 rad (270 deg)",
+     '{"roots":[{"r":2.0,"theta":1.5707963267948966},{"r":2.0,"theta'
+     '":4.71238898038469}]}'),
+    (["mat", "arith", "add", "1 2; 3 4", "5 6; 7 8"],
+     " 6  8\n"
+     "10 12",
+     '{"matrix":[[{"den":1,"num":6},{"den":1,"num":8}],[{"den":1,"nu'
+     'm":10},{"den":1,"num":12}]]}'),
+    (["mat", "arith", "sub", "1 2; 3 4", "5 6; 7 8"],
+     "-4 -4\n"
+     "-4 -4",
+     '{"matrix":[[{"den":1,"num":-4},{"den":1,"num":-4}],[{"den":1,"'
+     'num":-4},{"den":1,"num":-4}]]}'),
+    (["mat", "arith", "mul", "1 2; 3 4", "5 6; 7 8"],
+     "19 22\n"
+     "43 50",
+     '{"matrix":[[{"den":1,"num":19},{"den":1,"num":22}],[{"den":1,"'
+     'num":43},{"den":1,"num":50}]]}'),
+    (["mat", "arith", "scale", "1 2; 3 4", "1/2"],
+     "1/2 1\n"
+     "3/2 2",
+     '{"matrix":[[{"den":2,"num":1},{"den":1,"num":1}],[{"den":2,"nu'
+     'm":3},{"den":1,"num":2}]]}'),
+    (["mat", "arith", "transpose", "1 2 3; 4 5 6"],
+     "1 4\n"
+     "2 5\n"
+     "3 6",
+     '{"matrix":[[{"den":1,"num":1},{"den":1,"num":4}],[{"den":1,"nu'
+     'm":2},{"den":1,"num":5}],[{"den":1,"num":3},{"den":1,"num":6}]'
+     "]}"),
+    (["mat", "det", "--method", "laplace", "3 2 -1; 1 2 4; 0 6 -2"],
+     "-86",
+     '{"det":{"den":1,"num":-86}}'),
+    (["mat", "det", "--method", "elimination", "3 2 -1; 1 2 4; 0 6 -2"],
+     "-86",
+     '{"det":{"den":1,"num":-86}}'),
+    (["mat", "det", "--method", "sarrus3", "3 2 -1; 1 2 4; 0 6 -2"],
+     "-86",
+     '{"det":{"den":1,"num":-86}}'),
+    (["mat", "inverse", "2 -3; 0 1"],
+     "1/2 3/2\n"
+     "  0   1",
+     '{"matrix":[[{"den":2,"num":1},{"den":2,"num":3}],[{"den":1,"nu'
+     'm":0},{"den":1,"num":1}]]}'),
+    (["sys", "classify", "--augmented", "1 1 2; 1 1 3"],
+     "rank A = 1, rank A|b = 2, unknowns = 2: inconsistent",
+     '{"n_unknowns":2,"rank_a":1,"rank_ab":2,"verdict":"inconsistent'
+     '"}'),
+    (["sys", "gauss", "--augmented", "1 1 2; 1 -1 0"],
+     "x1 = 1, x2 = 1",
+     '{"solution":{"kind":"unique","values":[{"den":1,"num":1},{"den'
+     '":1,"num":1}]}}'),
+    (["sys", "cramer", "1 1; 1 -1 | 2 0"],
+     "x1 = 1, x2 = 1",
+     '{"solution":{"kind":"unique","values":[{"den":1,"num":1},{"den'
+     '":1,"num":1}]}}'),
+    (["sys", "cramer", "--augmented", "2 1 3; 1 3 5"],
+     "x1 = 4/5, x2 = 7/5",
+     '{"solution":{"kind":"unique","values":[{"den":5,"num":4},{"den'
+     '":5,"num":7}]}}'),
+    (["sys", "invmethod", "--augmented", "2 1 3; 1 3 5"],
+     "x1 = 4/5, x2 = 7/5",
+     '{"solution":{"kind":"unique","values":[{"den":5,"num":4},{"den'
+     '":5,"num":7}]}}'),
+    (["geo", "vec", "(1,2,3)", "(4,5,6)"],
+     "dot = 32\n"
+     "cross = (-3, 6, -3)\n"
+     "|a| = 3.741657387\n"
+     "|b| = 8.774964387\n"
+     "angle = 0.2257261286\n"
+     "proj = 3.646738447",
+     '{"angle":0.2257261285527342,"cross":[{"den":1,"num":-3},{"den"'
+     ':1,"num":6},{"den":1,"num":-3}],"dot":{"den":1,"num":32},"norm'
+     '_a":3.7416573867739413,"norm_b":8.774964387392123,"proj_a_onto'
+     '_b":3.6467384467084143}'),
+    (["geo", "vec", "(0,0,0)", "(1,0,0)"],
+     "dot = 0\n"
+     "cross = (0, 0, 0)\n"
+     "|a| = 0\n"
+     "|b| = 1",
+     '{"cross":[{"den":1,"num":0},{"den":1,"num":0},{"den":1,"num":0'
+     '}],"dot":{"den":1,"num":0},"norm_a":0.0,"norm_b":1.0}'),
+    (["geo", "plane", "three", "(1,1,0)", "(-2,0,4)", "(2,3,-1)"],
+     "7x - y + 5z - 6 = 0",
+     '{"plane":{"a":{"den":1,"num":7},"b":{"den":1,"num":-1},"c":{"d'
+     'en":1,"num":5},"d":{"den":1,"num":-6}}}'),
+    (["geo", "plane", "three", "(1,1,0)", "(-2,0,4)", "(2,3,-1)", "--forms"],
+     "7x - y + 5z - 6 = 0\n"
+     "hesse p = 0.692820323\n"
+     "segment l, m, n = 6/7, -6, 6/5",
+     '{"hesse":{"cos_a":0.808290376865476,"cos_b":-0.115470053837925'
+     '14,"cos_g":0.5773502691896257,"p":0.6928203230275508},"plane":'
+     '{"a":{"den":1,"num":7},"b":{"den":1,"num":-1},"c":{"den":1,"nu'
+     'm":5},"d":{"den":1,"num":-6}},"segment":[{"den":7,"num":6},{"d'
+     'en":1,"num":-6},{"den":5,"num":6}]}'),
+    (["geo", "plane", "three", "(0,0,0)", "(1,0,0)", "(0,1,0)", "--forms"],
+     "z = 0\n"
+     "hesse p = -0\n"
+     "segment form undefined (zero coefficient)",
+     '{"hesse":{"cos_a":0.0,"cos_b":0.0,"cos_g":1.0,"p":-0.0},"plane'
+     '":{"a":{"den":1,"num":0},"b":{"den":1,"num":0},"c":{"den":1,"n'
+     'um":1},"d":{"den":1,"num":0}}}'),
+    (["geo", "plane", "normal", "(0,0,0)", "(0,0,-1)", "--forms"],
+     "-z = 0\n"
+     "hesse p = 0\n"
+     "segment form undefined (zero coefficient)",
+     '{"hesse":{"cos_a":-0.0,"cos_b":-0.0,"cos_g":1.0,"p":0.0},"plan'
+     'e":{"a":{"den":1,"num":0},"b":{"den":1,"num":0},"c":{"den":1,"'
+     'num":-1},"d":{"den":1,"num":0}}}'),
+    (["geo", "line", "points", "(1,2,3)", "(4,6,8)"],
+     "(x-(1))/3 = (y-(2))/4 = (z-(3))/5",
+     '{"line":{"dir":[{"den":1,"num":3},{"den":1,"num":4},{"den":1,"'
+     'num":5}],"point":[{"den":1,"num":1},{"den":1,"num":2},{"den":1'
+     ',"num":3}]}}'),
+    (["geo", "line", "planes", "2 -1 -1 -4", "2 -3 -2 7"],
+     "(x-(19/4))/-1 = (y-(11/2))/2 = (z-(0))/-4",
+     '{"line":{"dir":[{"den":1,"num":-1},{"den":1,"num":2},{"den":1,'
+     '"num":-4}],"point":[{"den":4,"num":19},{"den":2,"num":11},{"de'
+     'n":1,"num":0}]}}'),
+    (["geo", "relate", "planes", "1 3 -4 5", "2 2 2 -7"],
+     "kind: intersecting\n"
+     "angle = 1.570796327\n"
+     "line: (x-(0))/14 = (y-(9/7))/-10 = (z-(31/14))/-4",
+     '{"angle":1.5707963267948966,"identical":false,"intersection":{'
+     '"dir":[{"den":1,"num":14},{"den":1,"num":-10},{"den":1,"num":-'
+     '4}],"point":[{"den":1,"num":0},{"den":7,"num":9},{"den":14,"nu'
+     'm":31}]},"parallel":false,"perpendicular":true}'),
+    (["geo", "relate", "planes", "1 1 1 1", "2 2 2 5"],
+     "kind: parallel\n"
+     "angle = 0",
+     '{"angle":0.0,"identical":false,"intersection":null,"parallel":'
+     'true,"perpendicular":false}'),
+    (["geo", "relate", "lines", "point=(0,0,0) dir=(1,0,0)", "point=(0,0,0) dir=(0,1,0)"],
+     "kind: intersecting\n"
+     "angle = 1.570796327\n"
+     "point: (0, 0, 0)",
+     '{"angle":1.5707963267948966,"kind":"intersecting","point":[{"d'
+     'en":1,"num":0},{"den":1,"num":0},{"den":1,"num":0}]}'),
+    (["geo", "relate", "lines", "point=(0,0,0) dir=(1,0,0)", "point=(0,1,0) dir=(0,0,1)"],
+     "kind: skew\n"
+     "angle = 1.570796327\n"
+     "d = 1 (d^2 = 1)",
+     '{"angle":1.5707963267948966,"d":1.0,"d_sq":{"den":1,"num":1},"'
+     'kind":"skew"}'),
+    (["geo", "relate", "lineplane", "(x-1)/3 = (y-2)/-2 = (z-3)/1", "6 -4 2 7"],
+     "kind: intersecting\n"
+     "point: (-5/28, 39/14, 73/28)\n"
+     "sin angle = 1",
+     '{"kind":"intersecting","point":[{"den":28,"num":-5},{"den":14,'
+     '"num":39},{"den":28,"num":73}],"sin_angle":1.0,"t":{"den":28,"'
+     'num":-11}}'),
+    (["geo", "relate", "lineplane", "point=(0,0,1) dir=(1,0,0)", "0 0 1 0"],
+     "kind: parallel_disjoint\n"
+     "d = 1 (d^2 = 1)",
+     '{"d":1.0,"d_sq":{"den":1,"num":1},"kind":"parallel_disjoint"}'),
+    (["geo", "relate", "lineplane", "point=(0,0,0) dir=(1,0,0)", "0 0 1 0"],
+     "kind: contained",
+     '{"kind":"contained"}'),
+    (["geo", "dist", "pointplane", "(0,6,4)", "1 -2 -2 3"],
+     "d = 5.666666667 (d^2 = 289/9)",
+     '{"d":5.666666666666667,"d_sq":{"den":9,"num":289}}'),
+    (["geo", "dist", "pointline", "(0,1,0)", "point=(0,0,0) dir=(1,0,0)"],
+     "d = 1 (d^2 = 1)",
+     '{"d":1.0,"d_sq":{"den":1,"num":1}}'),
+    (["geo", "dist", "lines", "point=(0,0,0) dir=(1,0,0)", "point=(0,1,0) dir=(0,0,1)"],
+     "d = 1 (d^2 = 1)",
+     '{"d":1.0,"d_sq":{"den":1,"num":1}}'),
+    (["geo", "dist", "lines", "point=(0,0,0) dir=(1,0,0)", "point=(0,0,0) dir=(0,1,0)"],
+     "kind: intersecting, d = 0",
+     '{"kind":"intersecting"}'),
+    (["mix", "prop", "x+9", "6", "x", "5"],
+     "45",
+     '{"x":{"den":1,"num":45}}'),
+    (["mix", "split", "198", "1:2:3:5"],
+     "18, 36, 54, 90",
+     '{"parts":[{"den":1,"num":18},{"den":1,"num":36},{"den":1,"num"'
+     ':54},{"den":1,"num":90}]}'),
+    (["mix", "percent", "--i", "30", "--p", "32%"],
+     "375/4",
+     '{"value":{"den":4,"num":375}}'),
+    (["mix", "chain", "--start", "100", "--", "-10", "+15"],
+     "207/2",
+     '{"value":{"den":2,"num":207}}'),
+    (["mix", "simple", "48", "78", "60", "10"],
+     "6, 4",
+     '{"amounts":[{"den":1,"num":6},{"den":1,"num":4}],"degenerate":'
+     "false}"),
+    (["mix", "simple", "50", "50", "50", "10"],
+     "10, 0 (degenerate: any split works)",
+     '{"amounts":[{"den":1,"num":10},{"den":1,"num":0}],"degenerate"'
+     ":true}"),
+    (["mix", "star", "120", "560", "160", "140", "110", "50"],
+     "280, 40, 80, 160",
+     '{"amounts":[{"den":1,"num":280},{"den":1,"num":40},{"den":1,"n'
+     'um":80},{"den":1,"num":160}]}'),
+]
+
+
+@pytest.mark.parametrize("argv,text,payload", COMMAND_GOLDEN,
+                         ids=[" ".join(argv) for argv, _, _ in COMMAND_GOLDEN])
+def test_command_golden(argv, text, payload, capsys):
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out == text + "\n"
+    assert dispatch(["--json"] + argv) == 0
+    assert capsys.readouterr().out == payload + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--json", "sys", "gauss", "1 1 1; 2 3 -1; 1 2 -2; 3 5 -3 | 3 4 1 5"],
     ["--json", "mat", "rank", "3 6 6 9 1; 2 4 1 2 0; -1 -2 4 5 1"],
