@@ -61,18 +61,24 @@ class Magma:
         return "\n".join(lines)
 
 
+def _check_carrier_size(size: int) -> None:
+    if size > MAX_CARRIER:
+        raise TooLarge(f"carrier of {size} elements exceeds {MAX_CARRIER}")
+
+
 def cayley_table(carrier, op) -> Magma:
     """Tabulate a binary operation over an ordered carrier (size <= 64)."""
     carrier = tuple(carrier)
-    if len(carrier) > MAX_CARRIER:
-        raise TooLarge(f"carrier of {len(carrier)} elements exceeds {MAX_CARRIER}")
+    _check_carrier_size(len(carrier))
     table = tuple(tuple(op(a, b) for b in carrier) for a in carrier)
     return Magma(carrier, table)
 
 
 def _check_modulus(n: int) -> None:
+    """Reject n before the carrier {0..n-1} is built."""
     if n < 1:
         raise OutOfDomain(f"modulus must be >= 1, got {n}")
+    _check_carrier_size(n)
 
 
 def mod_add_table(n: int) -> Magma:

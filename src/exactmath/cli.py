@@ -5,13 +5,20 @@ Results go to stdout (plain text mirroring the usual written notation, or a
 stable JSON schema with exact rationals as {"num", "den"} pairs under
 --json); diagnostics go to stderr.  Exit codes: 0 success, 1 domain error,
 2 parse/usage error.  A literal '-' argument is replaced by stdin.
+
+Every subcommand is one entry of COMMANDS; the argument parser and the
+dispatch are both built from that table.
 """
 
 import argparse
+import dataclasses
 import json
 import math
+import re
 import sys
+from enum import Enum
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import (
     algstruct,
@@ -34,52 +41,30 @@ from .rationals import format_rational, parse_rational
 
 
 def to_jsonable(obj):
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, float, str)):
-        return obj
+    """JSON form of a kernel value.  json.dumps calls this for every object
+    it cannot encode itself, then encodes the result in turn.  A dataclass
+    not named here is encoded as its fields."""
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator}
-    if isinstance(obj, matrices.Matrix):
-        return [[to_jsonable(x) for x in row] for row in obj.entries]
-    if isinstance(obj, complexn.GaussianRational):
-        return {"re": to_jsonable(obj.re), "im": to_jsonable(obj.im)}
-    if isinstance(obj, complexn.Polar):
-        return {"r": obj.r, "theta": obj.theta}
-    if isinstance(obj, geometry.Vec3):
-        return [to_jsonable(c) for c in obj.components()]
-    if isinstance(obj, geometry.Plane):
-        return {"a": to_jsonable(obj.a), "b": to_jsonable(obj.b),
-                "c": to_jsonable(obj.c), "d": to_jsonable(obj.d)}
-    if isinstance(obj, geometry.Line):
-        return {"point": to_jsonable(obj.point), "dir": to_jsonable(obj.dir)}
-    if isinstance(obj, sets.FinSet):
-        return [to_jsonable(e) for e in obj.elements]
-    if isinstance(obj, relations.Relation):
-        return {"source": to_jsonable(obj.source),
-                "target": to_jsonable(obj.target),
-                "pairs": sorted(([to_jsonable(a), to_jsonable(b)]
-                                 for a, b in obj.pairs), key=repr)}
-    if isinstance(obj, systems.Unique):
-        return {"kind": "unique", "values": [to_jsonable(v) for v in obj.values]}
-    if isinstance(obj, systems.Inconsistent):
-        return {"kind": "inconsistent"}
-    if isinstance(obj, systems.Parametric):
-        return {"kind": "parametric",
-                "particular": [to_jsonable(v) for v in obj.particular],
-                "directions": [[to_jsonable(v) for v in d] for d in obj.directions],
-                "free_cols": list(obj.free_cols)}
-    if isinstance(obj, combin.Monomial):
-        return {"coeff": to_jsonable(obj.coeff), "exponent": to_jsonable(obj.exponent)}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
-    if hasattr(obj, "value"):  # enums
+    if isinstance(obj, Enum):
         return obj.value
-    return str(obj)
+    if isinstance(obj, matrices.Matrix):
+        return obj.entries
+    if isinstance(obj, geometry.Vec3):
+        return obj.components()
+    if isinstance(obj, sets.FinSet):
+        return obj.elements
+    if isinstance(obj, relations.Relation):
+        return {"source": obj.source, "target": obj.target,
+                "pairs": sorted(([a, b] for a, b in obj.pairs), key=repr)}
+    fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (systems.Unique, systems.Inconsistent, systems.Parametric)):
+        fields["kind"] = type(obj).__name__.lower()
+    return fields
 
 
-def dump_json(obj) -> str:
-    return json.dumps(to_jsonable(obj), sort_keys=True, separators=(",", ":"))
+def dump_json(payload) -> str:
+    return json.dumps(payload, default=to_jsonable, sort_keys=True, separators=(",", ":"))
 
 
 def fmt(value) -> str:
@@ -90,6 +75,10 @@ def fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.10g}"
     return str(value)
+
+
+def fmt_list(values) -> str:
+    return ", ".join(fmt(v) for v in values)
 
 
 def fmt_monomial(m: combin.Monomial) -> str:
@@ -139,6 +128,22 @@ def fmt_solution(solution) -> str:
     return "\n".join(lines)
 
 
+def fmt_distance(result) -> str:
+    return f"d = {fmt(result['d'])} (d^2 = {fmt(result['d_sq'])})"
+
+
+def fmt_position(kind: str, result) -> str:
+    """A mutual-position report: the kind, then whichever measures it has."""
+    lines = [f"kind: {kind}"]
+    for key, label in (("angle", "angle = "), ("intersection", "line: "),
+                       ("point", "point: "), ("sin_angle", "sin angle = ")):
+        if result.get(key) is not None:
+            lines.append(label + fmt(result[key]))
+    if "d_sq" in result:
+        lines.append(fmt_distance(result))
+    return "\n".join(lines)
+
+
 # -- input helpers ---------------------------------------------------------
 
 
@@ -168,8 +173,7 @@ def parse_affine(text: str) -> ratio.Affine:
     intercept = Fraction(0)
     if not compact:
         raise ParseError("empty proportion member")
-    import re as _re
-    for term in (t for t in _re.split(r"(?=[+-])", compact) if t):
+    for term in (t for t in re.split(r"(?=[+-])", compact) if t):
         if term.endswith("x"):
             body = term[:-1]
             if body in ("", "+"):
@@ -201,378 +205,6 @@ def parse_magma(args) -> algstruct.Magma:
     return algstruct.Magma(carrier, tuple(tuple(r) for r in rows))
 
 
-# -- command handlers ------------------------------------------------------
-
-
-def cmd_nt(args):
-    if args.op == "gcd":
-        g, trace = arith.gcd(args.a, args.b)
-        return g, {"gcd": g, "trace": [list(step) for step in trace]}
-    if args.op == "lcm":
-        value = arith.lcm(args.a, args.b)
-        return value, {"lcm": value}
-    if args.op == "factor":
-        factors = arith.factorize(args.n)
-        text = " * ".join(f"{p}^{m}" if m > 1 else str(p) for p, m in factors)
-        return text, {"factors": [[p, m] for p, m in factors]}
-    if args.op == "prime":
-        flag = arith.is_prime(args.n)
-        return fmt(flag), {"prime": flag}
-    if args.op == "tobase":
-        digits = arith.to_base(args.n, args.base)
-        return str(digits), {"base": digits.base, "digits": list(digits.coeffs)}
-    if args.op == "frombase":
-        try:
-            coeffs = tuple(int(ch, 16) for ch in args.digits)
-        except ValueError:
-            raise ParseError(f"not a digit string (0-9, a-f): {args.digits!r}") from None
-        value = arith.from_base(arith.Digits(args.base, coeffs))
-        return str(value), {"value": value}
-    if args.op == "divmod":
-        q, r = arith.divmod_euclid(args.a, args.b)
-        return f"q = {q}, r = {r}", {"q": q, "r": r}
-    raise ParseError(f"unknown nt op {args.op!r}")
-
-
-def cmd_comb(args):
-    if args.op == "fact":
-        value = combin.factorial(args.n)
-        return str(value), {"factorial": value}
-    if args.op == "binom":
-        value = combin.binom(args.n, args.k)
-        return str(value), {"binom": value}
-    if args.op in ("expand", "term"):
-        c1, e1 = parse_rational(args.c1), parse_rational(args.e1)
-        c2, e2 = parse_rational(args.c2), parse_rational(args.e2)
-        if args.op == "expand":
-            terms = combin.binom_expand(args.n, c1, e1, c2, e2)
-            return (" + ".join(fmt_monomial(t) for t in terms).replace("+ -", "- "),
-                    {"terms": terms})
-        term = combin.binom_term(args.n, args.k, c1, e1, c2, e2)
-        return fmt_monomial(term), {"term": term}
-    if args.op == "sum":
-        value = combin.closed_form_sum(args.kind, args.n)
-        return fmt(value), {"sum": value}
-    raise ParseError(f"unknown comb op {args.op!r}")
-
-
-def cmd_logic(args):
-    f = logic.parse_formula(read_arg(args.formula))
-    if args.op == "table":
-        table = logic.truth_table(f)
-        payload = {"atoms": list(table.atoms),
-                   "rows": [[list(values), result] for values, result in table.rows]}
-        return str(table), payload
-    if args.op == "classify":
-        verdict = logic.classify(f)
-        return verdict.value, {"classification": verdict.value}
-    if args.op == "equiv":
-        g = logic.parse_formula(read_arg(args.other))
-        flag = logic.equivalent(f, g)
-        return fmt(flag), {"equivalent": flag}
-    raise ParseError(f"unknown logic op {args.op!r}")
-
-
-def cmd_set(args):
-    if args.op == "ops":
-        a = parsing.parse_set(read_arg(args.a))
-        b = parsing.parse_set(read_arg(args.b))
-        if args.setop == "complement":
-            result = sets.complement(a, b)
-        else:
-            result = sets.set_ops(a, b, args.setop)
-        return str(result), {"result": result}
-    if args.op == "power":
-        a = parsing.parse_set(read_arg(args.a))
-        subsets = sets.powerset(a)
-        return "\n".join(str(s) for s in subsets), {"subsets": subsets}
-    if args.op == "cart":
-        a = parsing.parse_set(read_arg(args.a))
-        b = parsing.parse_set(read_arg(args.b))
-        product = sets.cartesian(a, b)
-        text = ", ".join(f"({x}, {y})" for x, y in product)
-        return text, {"pairs": [[x, y] for x, y in product]}
-    if args.op == "venn3":
-        regions, nj = sets.three_set_counts(
-            args.total, args.f, args.e, args.fe, args.enj, args.fnj, args.fenj)
-        lines = [f"third set: {nj}"]
-        lines += [f"{name}: {count}" for name, count in sorted(regions.items())]
-        return "\n".join(lines), {"third_set": nj, "regions": regions}
-    raise ParseError(f"unknown set op {args.op!r}")
-
-
-def _relation_from_args(args):
-    on = parsing.parse_set(args.on) if getattr(args, "on", None) else None
-    return parsing.parse_relation(read_arg(args.relation), source=on, target=on)
-
-
-def cmd_rel(args):
-    if args.op == "props":
-        rel = _relation_from_args(args)
-        props = relations.rel_properties(rel)
-        props["equivalence"] = (props["reflexive"] and props["symmetric"]
-                                and props["transitive"])
-        props["partial_order"] = (props["reflexive"] and props["antisymmetric"]
-                                  and props["transitive"])
-        text = "\n".join(f"{name}: {fmt(flag)}" for name, flag in props.items())
-        return text, props
-    if args.op == "classes":
-        rel = _relation_from_args(args)
-        analysis = relations.equivalence_analysis(rel)
-        if not analysis["is_equivalence"]:
-            return "not an equivalence relation", {"is_equivalence": False}
-        text = "\n".join(str(c) for c in analysis["classes"])
-        return text, {"is_equivalence": True, "classes": analysis["classes"]}
-    if args.op == "compose":
-        first = parsing.parse_relation(read_arg(args.relation))
-        second = parsing.parse_relation(read_arg(args.other))
-        # align the intermediate sets so composition is defined
-        middle = sets.set_ops(first.range(), second.domain(), "union")
-        first = relations.Relation(first.source, middle, first.pairs)
-        second = relations.Relation(middle, second.target, second.pairs)
-        result = relations.rel_compose(first, second)
-        return str(result), {"pairs": to_jsonable(result)["pairs"]}
-    if args.op == "inverse":
-        rel = parsing.parse_relation(read_arg(args.relation))
-        result = relations.rel_inverse(rel)
-        return str(result), {"pairs": to_jsonable(result)["pairs"]}
-    raise ParseError(f"unknown rel op {args.op!r}")
-
-
-def cmd_alg(args):
-    magma = parse_magma(args)
-    if args.op == "cayley":
-        return str(magma), {"carrier": list(magma.carrier),
-                            "table": [list(r) for r in magma.table]}
-    if args.op == "classify":
-        info = algstruct.classify_structure(magma)
-        lines = [f"class: {info['class'].value}"]
-        for key in ("closed", "associative", "commutative", "all_invertible"):
-            lines.append(f"{key}: {fmt(info[key])}")
-        lines.append(f"neutral: {info['neutral'] if info['neutral'] is not None else 'none'}")
-        return "\n".join(lines), info
-    raise ParseError(f"unknown alg op {args.op!r}")
-
-
-def cmd_cx(args):
-    if args.op == "arith":
-        z1 = parsing.parse_complex(read_arg(args.z1))
-        z2 = parsing.parse_complex(read_arg(args.z2))
-        result = complexn.c_arith(z1, z2, args.cop)
-        return str(result), {"result": result}
-    if args.op == "polar":
-        z = parsing.parse_complex(read_arg(args.z))
-        p = complexn.to_polar(z)
-        return fmt_polar(p), {"polar": p}
-    if args.op == "pow":
-        z = parsing.parse_complex(read_arg(args.z))
-        p = complexn.pow_int(complexn.to_polar(z), args.n)
-        x, y = complexn.from_polar(p)
-        text = f"{fmt_polar(p)}\nxy = ({x:.10g}, {y:.10g})"
-        return text, {"polar": p, "xy": [x, y]}
-    if args.op == "roots":
-        z = parsing.parse_complex(read_arg(args.z))
-        roots = complexn.roots_n(z, args.n)
-        return "\n".join(fmt_polar(r) for r in roots), {"roots": roots}
-    raise ParseError(f"unknown cx op {args.op!r}")
-
-
-def cmd_mat(args):
-    if args.op == "arith":
-        a = matrices.Matrix.from_string(read_arg(args.a))
-        if args.b is None and args.matop != "transpose":
-            raise ParseError(f"{args.matop} needs a second operand")
-        if args.matop in ("add", "sub"):
-            result = matrices.mat_arith(a, matrices.Matrix.from_string(read_arg(args.b)), args.matop)
-        elif args.matop == "mul":
-            result = matrices.matmul(a, matrices.Matrix.from_string(read_arg(args.b)))
-        elif args.matop == "scale":
-            result = matrices.scale(parse_rational(args.b), a)
-        elif args.matop == "transpose":
-            result = matrices.transpose(a)
-        else:
-            raise ParseError(f"unknown matrix op {args.matop!r}")
-        return str(result), {"matrix": result}
-    a = matrices.Matrix.from_string(read_arg(args.a))
-    if args.op == "det":
-        value = matrices.det(a, args.method)
-        return fmt(value), {"det": value}
-    if args.op == "adj":
-        result = matrices.adjugate(a)
-        return str(result), {"matrix": result}
-    if args.op == "inverse":
-        result = matrices.inverse(a)
-        return str(result), {"matrix": result}
-    if args.op == "rank":
-        report = matrices.rank(a)
-        text = (f"rank = {report.rank}\n{report.echelon}\n"
-                + "ops: " + ("; ".join(report.op_log) if report.op_log else "none"))
-        return text, {"rank": report.rank, "echelon": report.echelon,
-                      "pivot_cols": list(report.pivot_cols),
-                      "op_log": list(report.op_log)}
-    if args.op == "solveq":
-        b = matrices.Matrix.from_string(read_arg(args.b))
-        side = "left_AX_eq_B" if args.side == "left" else "right_XA_eq_B"
-        result = matrices.solve_matrix_equation(side, a, b)
-        return str(result), {"matrix": result}
-    raise ParseError(f"unknown mat op {args.op!r}")
-
-
-def cmd_sys(args):
-    if args.op == "homogeneous":
-        a = matrices.Matrix.from_string(read_arg(args.system))
-        info = systems.homogeneous_analysis(a)
-        text = (f"trivial only: {fmt(info['trivial_only'])}\n"
-                + fmt_solution(info["solutions"]))
-        return text, info
-    sys_ = parse_system(read_arg(args.system), args.augmented)
-    if args.op == "classify":
-        report = systems.classify(sys_)
-        text = (f"rank A = {report.rank_a}, rank A|b = {report.rank_ab}, "
-                f"unknowns = {report.n_unknowns}: {report.verdict}")
-        return text, {"rank_a": report.rank_a, "rank_ab": report.rank_ab,
-                      "n_unknowns": report.n_unknowns, "verdict": report.verdict}
-    solver = {"gauss": systems.solve_gauss,
-              "cramer": systems.solve_cramer,
-              "invmethod": systems.solve_inverse_method}[args.op]
-    solution = solver(sys_)
-    return fmt_solution(solution), {"solution": solution}
-
-
-def cmd_geo(args):
-    if args.op == "vec":
-        a = parsing.parse_vec3(read_arg(args.a))
-        b = parsing.parse_vec3(read_arg(args.b))
-        payload = {
-            "dot": geometry.dot(a, b),
-            "cross": geometry.cross(a, b),
-            "norm_a": geometry.norm(a),
-            "norm_b": geometry.norm(b),
-        }
-        if not a.is_zero() and not b.is_zero():
-            payload["angle"] = geometry.angle(a, b)
-            payload["proj_a_onto_b"] = geometry.proj_scalar(a, b)
-        lines = [f"dot = {fmt(payload['dot'])}",
-                 f"cross = {payload['cross']}",
-                 f"|a| = {fmt(payload['norm_a'])}",
-                 f"|b| = {fmt(payload['norm_b'])}"]
-        if "angle" in payload:
-            lines.append(f"angle = {fmt(payload['angle'])}")
-            lines.append(f"proj = {fmt(payload['proj_a_onto_b'])}")
-        return "\n".join(lines), payload
-    if args.op == "plane":
-        wanted = 3 if args.kind == "three" else 2
-        if len(args.points) != wanted:
-            raise ParseError(f"plane {args.kind} takes {wanted} vectors, got {len(args.points)}")
-        if args.kind == "three":
-            plane = geometry.plane_three_points(*(parsing.parse_vec3(p) for p in args.points))
-        else:
-            plane = geometry.plane_point_normal(
-                parsing.parse_vec3(args.points[0]), parsing.parse_vec3(args.points[1]))
-        payload = {"plane": plane}
-        lines = [str(plane)]
-        if args.forms:
-            hesse = geometry.plane_hesse(plane)
-            payload["hesse"] = {"cos_a": hesse.cos_a, "cos_b": hesse.cos_b,
-                                "cos_g": hesse.cos_g, "p": hesse.p}
-            lines.append(f"hesse p = {fmt(hesse.p)}")
-            try:
-                l, m, n = geometry.plane_segment_form(plane)
-                payload["segment"] = [l, m, n]
-                lines.append(f"segment l, m, n = {fmt(l)}, {fmt(m)}, {fmt(n)}")
-            except KernelError:
-                lines.append("segment form undefined (zero coefficient)")
-        return "\n".join(lines), payload
-    if args.op == "line":
-        if args.kind == "points":
-            line = geometry.line_two_points(
-                parsing.parse_vec3(args.parts[0]), parsing.parse_vec3(args.parts[1]))
-        else:
-            line = geometry.line_plane_intersection_line(
-                parsing.parse_plane(args.parts[0]), parsing.parse_plane(args.parts[1]))
-        return str(line), {"line": line}
-    if args.op == "relate":
-        if args.kind == "planes":
-            result = geometry.planes_relation(
-                parsing.parse_plane(args.parts[0]), parsing.parse_plane(args.parts[1]))
-            verdict = ("identical" if result["identical"]
-                       else "parallel" if result["parallel"]
-                       else "intersecting")
-            lines = [f"kind: {verdict}", f"angle = {fmt(result['angle'])}"]
-            if result["intersection"] is not None:
-                lines.append(f"line: {result['intersection']}")
-            return "\n".join(lines), result
-        if args.kind == "lines":
-            result = geometry.lines_relation(
-                parsing.parse_line(args.parts[0]), parsing.parse_line(args.parts[1]))
-            lines = [f"kind: {result['kind']}", f"angle = {fmt(result['angle'])}"]
-            if "point" in result:
-                lines.append(f"point: {result['point']}")
-            if "d_sq" in result:
-                lines.append(f"d = {fmt(result['d'])} (d^2 = {fmt(result['d_sq'])})")
-            return "\n".join(lines), result
-        result = geometry.line_plane_relation(
-            parsing.parse_line(args.parts[0]), parsing.parse_plane(args.parts[1]))
-        lines = [f"kind: {result['kind']}"]
-        if result["kind"] == "intersecting":
-            lines.append(f"point: {result['point']}")
-            lines.append(f"sin angle = {fmt(result['sin_angle'])}")
-        elif result["kind"] == "parallel_disjoint":
-            lines.append(f"d = {fmt(result['d'])} (d^2 = {fmt(result['d_sq'])})")
-        return "\n".join(lines), result
-    if args.op == "dist":
-        if args.kind == "pointplane":
-            result = geometry.point_plane_distance(
-                parsing.parse_vec3(args.parts[0]), parsing.parse_plane(args.parts[1]))
-        elif args.kind == "pointline":
-            result = geometry.point_line_distance(
-                parsing.parse_vec3(args.parts[0]), parsing.parse_line(args.parts[1]))
-        else:
-            relation = geometry.lines_relation(
-                parsing.parse_line(args.parts[0]), parsing.parse_line(args.parts[1]))
-            if "d_sq" not in relation:
-                return f"kind: {relation['kind']}, d = 0", {"kind": relation["kind"]}
-            result = {"d": relation["d"], "d_sq": relation["d_sq"]}
-        return (f"d = {fmt(result['d'])} (d^2 = {fmt(result['d_sq'])})", result)
-    raise ParseError(f"unknown geo op {args.op!r}")
-
-
-def cmd_mix(args):
-    if args.op == "prop":
-        value = ratio.solve_proportion(
-            parse_affine(args.parts[0]), parse_rational(args.parts[1]),
-            parse_affine(args.parts[2]), parse_rational(args.parts[3]))
-        return fmt(value), {"x": value}
-    if args.op == "split":
-        parts = ratio.extended_split(
-            parse_rational(args.total),
-            [parse_rational(w) for w in args.weights.split(":")])
-        return ", ".join(fmt(p) for p in parts), {"parts": parts}
-    if args.op == "percent":
-        value = ratio.percent_solve(
-            g=_opt_rat(args.g), i=_opt_rat(args.i), p=_opt_rat(args.p))
-        return fmt(value), {"value": value}
-    if args.op == "chain":
-        value = ratio.percent_chain(
-            start=_opt_rat(args.start), final=_opt_rat(args.final),
-            deltas=[_percent(d) for d in args.deltas])
-        return fmt(value), {"value": value}
-    if args.op == "simple":
-        result = ratio.simple_mixture(
-            _percent(args.s1), _percent(args.s2),
-            _percent(args.target), parse_rational(args.total))
-        text = ", ".join(fmt(x) for x in result.amounts)
-        if result.degenerate:
-            text += " (degenerate: any split works)"
-        return text, {"amounts": result.amounts, "degenerate": result.degenerate}
-    if args.op == "star":
-        amounts = ratio.star_scheme(
-            [_percent(v) for v in args.values],
-            _percent(args.target), parse_rational(args.total))
-        return ", ".join(fmt(x) for x in amounts), {"amounts": amounts}
-    raise ParseError(f"unknown mix op {args.op!r}")
-
-
 def _percent(text: str) -> Fraction:
     """Rational with optional '%' (no-op scale) or per-mille suffix."""
     text = text.strip()
@@ -587,7 +219,441 @@ def _opt_rat(value):
     return None if value is None else _percent(value)
 
 
-# -- parser ----------------------------------------------------------------
+def _formula(text):
+    return logic.parse_formula(read_arg(text))
+
+
+def _set(text):
+    return parsing.parse_set(read_arg(text))
+
+
+def _relation(text):
+    return parsing.parse_relation(read_arg(text))
+
+
+def _complex(text):
+    return parsing.parse_complex(read_arg(text))
+
+
+def _matrix(text):
+    return matrices.Matrix.from_string(read_arg(text))
+
+
+def _system(args):
+    return parse_system(read_arg(args.system), args.augmented)
+
+
+# geo line/relate/dist: kind -> (parser of part 1, parser of part 2, kernel)
+_GEO = {
+    "line": {
+        "points": (parsing.parse_vec3, parsing.parse_vec3, geometry.line_two_points),
+        "planes": (parsing.parse_plane, parsing.parse_plane,
+                   geometry.line_plane_intersection_line),
+    },
+    "relate": {
+        "planes": (parsing.parse_plane, parsing.parse_plane, geometry.planes_relation),
+        "lines": (parsing.parse_line, parsing.parse_line, geometry.lines_relation),
+        "lineplane": (parsing.parse_line, parsing.parse_plane, geometry.line_plane_relation),
+    },
+    "dist": {
+        "pointplane": (parsing.parse_vec3, parsing.parse_plane, geometry.point_plane_distance),
+        "pointline": (parsing.parse_vec3, parsing.parse_line, geometry.point_line_distance),
+        "lines": (parsing.parse_line, parsing.parse_line, geometry.lines_relation),
+    },
+}
+
+
+def _geo(args):
+    first, second, kernel = _GEO[args.op][args.kind]
+    return kernel(first(args.parts[0]), second(args.parts[1]))
+
+
+# -- command handlers ------------------------------------------------------
+# Each takes the parsed arguments and returns (text, payload).
+
+
+def single(key, value, render=fmt):
+    """A result that is one value: its rendering, and {key: value}."""
+    return render(value), {key: value}
+
+
+def itself(value):
+    """A kernel object whose fields are the payload."""
+    return str(value), value
+
+
+def _gcd(args):
+    g, trace = arith.gcd(args.a, args.b)
+    return fmt(g), {"gcd": g, "trace": trace}
+
+
+def _factor(args):
+    factors = arith.factorize(args.n)
+    text = " * ".join(f"{p}^{m}" if m > 1 else str(p) for p, m in factors)
+    return text, {"factors": factors}
+
+
+def _tobase(args):
+    digits = arith.to_base(args.n, args.base)
+    return str(digits), {"base": digits.base, "digits": digits.coeffs}
+
+
+def _frombase(args):
+    try:
+        coeffs = tuple(int(ch, 16) for ch in args.digits)
+    except ValueError:
+        raise ParseError(f"not a digit string (0-9, a-f): {args.digits!r}") from None
+    return single("value", arith.from_base(arith.Digits(args.base, coeffs)))
+
+
+def _divmod(args):
+    q, r = arith.divmod_euclid(args.a, args.b)
+    return f"q = {q}, r = {r}", {"q": q, "r": r}
+
+
+def _binomial(args):
+    """The c1, e1, c2, e2 of (c1*x^e1 + c2*x^e2)^n."""
+    return [parse_rational(t) for t in (args.c1, args.e1, args.c2, args.e2)]
+
+
+def _set_op(args):
+    a, b = _set(args.a), _set(args.b)
+    if args.setop == "complement":
+        return single("result", sets.complement(a, b))
+    return single("result", sets.set_ops(a, b, args.setop))
+
+
+def _venn3(args):
+    regions, nj = sets.three_set_counts(
+        args.total, args.f, args.e, args.fe, args.enj, args.fnj, args.fenj)
+    lines = [f"third set: {nj}"]
+    lines += [f"{name}: {count}" for name, count in sorted(regions.items())]
+    return "\n".join(lines), {"third_set": nj, "regions": regions}
+
+
+def _endorelation(args):
+    on = parsing.parse_set(args.on) if args.on else None
+    return parsing.parse_relation(read_arg(args.relation), source=on, target=on)
+
+
+def _rel_props(args):
+    props = relations.rel_properties(_endorelation(args))
+    props["equivalence"] = (props["reflexive"] and props["symmetric"]
+                            and props["transitive"])
+    props["partial_order"] = (props["reflexive"] and props["antisymmetric"]
+                              and props["transitive"])
+    return "\n".join(f"{name}: {fmt(flag)}" for name, flag in props.items()), props
+
+
+def _rel_classes(args):
+    analysis = relations.equivalence_analysis(_endorelation(args))
+    if not analysis["is_equivalence"]:
+        return "not an equivalence relation", {"is_equivalence": False}
+    classes = analysis["classes"]
+    return "\n".join(str(c) for c in classes), {"is_equivalence": True, "classes": classes}
+
+
+def _pairs(rel):
+    return str(rel), {"pairs": to_jsonable(rel)["pairs"]}
+
+
+def _rel_compose(args):
+    first, second = _relation(args.relation), _relation(args.other)
+    # align the intermediate sets so composition is defined
+    middle = sets.set_ops(first.range(), second.domain(), "union")
+    return _pairs(relations.rel_compose(relations.Relation(first.source, middle, first.pairs),
+                                        relations.Relation(middle, second.target, second.pairs)))
+
+
+def _alg_classify(args):
+    info = algstruct.classify_structure(parse_magma(args))
+    lines = [f"class: {info['class'].value}"]
+    lines += [f"{key}: {fmt(info[key])}"
+              for key in ("closed", "associative", "commutative", "all_invertible")]
+    lines.append(f"neutral: {info['neutral'] if info['neutral'] is not None else 'none'}")
+    return "\n".join(lines), info
+
+
+def _cx_pow(args):
+    p = complexn.pow_int(complexn.to_polar(_complex(args.z)), args.n)
+    x, y = complexn.from_polar(p)
+    return f"{fmt_polar(p)}\nxy = ({x:.10g}, {y:.10g})", {"polar": p, "xy": [x, y]}
+
+
+def _mat_arith(args):
+    a = _matrix(args.a)
+    if args.b is None and args.matop != "transpose":
+        raise ParseError(f"{args.matop} needs a second operand")
+    if args.matop == "transpose":
+        return single("matrix", matrices.transpose(a))
+    if args.matop == "scale":
+        return single("matrix", matrices.scale(parse_rational(args.b), a))
+    if args.matop == "mul":
+        return single("matrix", matrices.matmul(a, _matrix(args.b)))
+    return single("matrix", matrices.mat_arith(a, _matrix(args.b), args.matop))
+
+
+def _rank(args):
+    report = matrices.rank(_matrix(args.a))
+    ops = "; ".join(report.op_log) or "none"
+    return f"rank = {report.rank}\n{report.echelon}\nops: {ops}", report
+
+
+def _homogeneous(args):
+    info = systems.homogeneous_analysis(_matrix(args.system))
+    return f"trivial only: {fmt(info['trivial_only'])}\n{fmt_solution(info['solutions'])}", info
+
+
+def _sys_classify(args):
+    report = systems.classify(_system(args))
+    return (f"rank A = {report.rank_a}, rank A|b = {report.rank_ab}, "
+            f"unknowns = {report.n_unknowns}: {report.verdict}"), report
+
+
+def _vec(args):
+    a, b = parsing.parse_vec3(read_arg(args.a)), parsing.parse_vec3(read_arg(args.b))
+    payload = {"dot": geometry.dot(a, b), "cross": geometry.cross(a, b),
+               "norm_a": geometry.norm(a), "norm_b": geometry.norm(b)}
+    lines = [f"dot = {fmt(payload['dot'])}", f"cross = {payload['cross']}",
+             f"|a| = {fmt(payload['norm_a'])}", f"|b| = {fmt(payload['norm_b'])}"]
+    if not a.is_zero() and not b.is_zero():
+        payload["angle"] = geometry.angle(a, b)
+        payload["proj_a_onto_b"] = geometry.proj_scalar(a, b)
+        lines += [f"angle = {fmt(payload['angle'])}",
+                  f"proj = {fmt(payload['proj_a_onto_b'])}"]
+    return "\n".join(lines), payload
+
+
+def _plane(args):
+    wanted = 3 if args.kind == "three" else 2
+    if len(args.points) != wanted:
+        raise ParseError(f"plane {args.kind} takes {wanted} vectors, got {len(args.points)}")
+    build = geometry.plane_three_points if args.kind == "three" else geometry.plane_point_normal
+    plane = build(*(parsing.parse_vec3(p) for p in args.points))
+    payload = {"plane": plane}
+    lines = [str(plane)]
+    if args.forms:
+        payload["hesse"] = geometry.plane_hesse(plane)
+        lines.append(f"hesse p = {fmt(payload['hesse'].p)}")
+        try:
+            payload["segment"] = geometry.plane_segment_form(plane)
+            lines.append(f"segment l, m, n = {fmt_list(payload['segment'])}")
+        except KernelError:
+            lines.append("segment form undefined (zero coefficient)")
+    return "\n".join(lines), payload
+
+
+def _relate(args):
+    result = _geo(args)
+    kind = result.get("kind") or ("identical" if result["identical"]
+                                  else "parallel" if result["parallel"]
+                                  else "intersecting")
+    return fmt_position(kind, result), result
+
+
+def _dist(args):
+    result = _geo(args)
+    if "d_sq" not in result:
+        return f"kind: {result['kind']}, d = 0", {"kind": result["kind"]}
+    return fmt_distance(result), {"d": result["d"], "d_sq": result["d_sq"]}
+
+
+def _mix_simple(args):
+    result = ratio.simple_mixture(
+        _percent(args.s1), _percent(args.s2),
+        _percent(args.target), parse_rational(args.total))
+    text = fmt_list(result.amounts)
+    return text + (" (degenerate: any split works)" if result.degenerate else ""), result
+
+
+# -- command table ---------------------------------------------------------
+
+
+class Command(NamedTuple):
+    """One `exactmath GROUP OP` subcommand."""
+
+    group: str
+    op: str
+    help: str
+    args: tuple  # (names, add_argument keywords) per argument
+    run: Callable  # parsed arguments -> (text, payload)
+
+
+def arg(*names, **options):
+    return names, options
+
+
+GROUPS = {
+    "nt": "number theory",
+    "comb": "combinatorics",
+    "logic": "propositional logic",
+    "set": "finite sets",
+    "rel": "binary relations",
+    "alg": "finite binary operations",
+    "cx": "complex numbers",
+    "mat": "rational matrices",
+    "sys": "linear systems",
+    "geo": "3D geometry",
+    "mix": "proportions, percents, mixtures",
+}
+
+_A_B_INTS = (arg("a", type=int), arg("b", type=int))
+_N = arg("n", type=int)
+_BINOMIAL = (arg("c1"), arg("e1"), arg("c2"), arg("e2"))
+_ON = arg("--on", help="carrier set literal")
+_MAGMA = (arg("table", nargs="?", help="carrier line then |S| table rows ('-' for stdin)"),
+          arg("--addmod", type=int, help="use ({0..n-1}, +_n)"),
+          arg("--mulmod", type=int, help="use ({0..n-1}, *_n)"))
+_SYSTEM = (arg("system", help="'A | b' (use --augmented for one matrix)"),
+           arg("--augmented", action="store_true"))
+
+
+def _geo_args(op):
+    return arg("kind", choices=list(_GEO[op])), arg("parts", nargs=2)
+
+
+COMMANDS = (
+    Command("nt", "gcd", "greatest common divisor", _A_B_INTS, _gcd),
+    Command("nt", "lcm", "least common multiple", _A_B_INTS,
+            lambda a: single("lcm", arith.lcm(a.a, a.b))),
+    Command("nt", "factor", "prime factorization", (_N,), _factor),
+    Command("nt", "prime", "primality (Miller-Rabin; trial division from 3.3e24)", (_N,),
+            lambda a: single("prime", arith.is_prime(a.n))),
+    Command("nt", "tobase", "digits of n in base b",
+            (_N, arg("base", type=int)), _tobase),
+    Command("nt", "frombase", "value of a digit string in base b",
+            (arg("digits"), arg("base", type=int)), _frombase),
+    Command("nt", "divmod", "division with remainder (0 <= r < b)", _A_B_INTS, _divmod),
+
+    Command("comb", "fact", "factorial", (_N,),
+            lambda a: single("factorial", combin.factorial(a.n))),
+    Command("comb", "binom", "binomial coefficient", (_N, arg("k", type=int)),
+            lambda a: single("binom", combin.binom(a.n, a.k))),
+    Command("comb", "expand", "expansion of (c1*x^e1 + c2*x^e2)^n", (_N, *_BINOMIAL),
+            lambda a: single("terms", combin.binom_expand(a.n, *_binomial(a)),
+                             lambda terms: " + ".join(map(fmt_monomial, terms))
+                             .replace("+ -", "- "))),
+    Command("comb", "term", "term k (0-based) of a binomial power",
+            (_N, arg("k", type=int), *_BINOMIAL),
+            lambda a: single("term", combin.binom_term(a.n, a.k, *_binomial(a)),
+                             fmt_monomial)),
+    Command("comb", "sum", "closed-form sum value",
+            (arg("kind", choices=combin.sum_kinds()), _N),
+            lambda a: single("sum", combin.closed_form_sum(a.kind, a.n))),
+
+    Command("logic", "table", "truth table", (arg("formula"),),
+            lambda a: itself(logic.truth_table(_formula(a.formula)))),
+    Command("logic", "classify", "tautology / contradiction / contingent", (arg("formula"),),
+            lambda a: single("classification", logic.classify(_formula(a.formula)).value)),
+    Command("logic", "equiv", "logical equivalence of two formulas",
+            (arg("formula"), arg("other")),
+            lambda a: single("equivalent",
+                             logic.equivalent(_formula(a.formula), _formula(a.other)))),
+
+    Command("set", "ops", "union/intersect/diff/symdiff/complement",
+            (arg("setop", choices=["union", "intersect", "diff", "symdiff", "complement"]),
+             arg("a"), arg("b")), _set_op),
+    Command("set", "power", "power set", (arg("a"),),
+            lambda a: single("subsets", sets.powerset(_set(a.a)),
+                             lambda subsets: "\n".join(map(str, subsets)))),
+    Command("set", "cart", "Cartesian product", (arg("a"), arg("b")),
+            lambda a: single("pairs", sets.cartesian(_set(a.a), _set(a.b)),
+                             lambda pairs: ", ".join(f"({x}, {y})" for x, y in pairs))),
+    Command("set", "venn3", "three-set census (third set unknown)",
+            tuple(arg(name, type=int) for name in ("total", "f", "e", "fe", "enj", "fnj", "fenj")),
+            _venn3),
+
+    Command("rel", "props", "reflexive/symmetric/... flags", (arg("relation"), _ON), _rel_props),
+    Command("rel", "classes", "equivalence classes and quotient", (arg("relation"), _ON),
+            _rel_classes),
+    Command("rel", "compose", "composition (second after first)",
+            (arg("relation"), arg("other")), _rel_compose),
+    Command("rel", "inverse", "inverse relation", (arg("relation"),),
+            lambda a: _pairs(relations.rel_inverse(_relation(a.relation)))),
+
+    Command("alg", "cayley", "print a Cayley table", _MAGMA, lambda a: itself(parse_magma(a))),
+    Command("alg", "classify", "magma..abelian group classification", _MAGMA, _alg_classify),
+
+    Command("cx", "arith", "exact arithmetic on a+bi literals",
+            (arg("cop", choices=["add", "sub", "mul", "div"]), arg("z1"), arg("z2")),
+            lambda a: single("result", complexn.c_arith(_complex(a.z1), _complex(a.z2), a.cop))),
+    Command("cx", "polar", "polar form (canonical angle)", (arg("z"),),
+            lambda a: single("polar", complexn.to_polar(_complex(a.z)), fmt_polar)),
+    Command("cx", "pow", "integer power via De Moivre", (arg("z"), _N), _cx_pow),
+    Command("cx", "roots", "all n-th roots", (arg("z"), _N),
+            lambda a: single("roots", complexn.roots_n(_complex(a.z), a.n),
+                             lambda roots: "\n".join(map(fmt_polar, roots)))),
+
+    Command("mat", "arith", "add/sub/mul/scale/transpose",
+            (arg("matop", choices=["add", "sub", "mul", "scale", "transpose"]),
+             arg("a"), arg("b", nargs="?")), _mat_arith),
+    Command("mat", "det", "determinant",
+            (arg("a"), arg("--method", default="elimination",
+                           choices=["laplace", "elimination", "sarrus3"])),
+            lambda a: single("det", matrices.det(_matrix(a.a), a.method))),
+    Command("mat", "adj", "adjugate matrix", (arg("a"),),
+            lambda a: single("matrix", matrices.adjugate(_matrix(a.a)))),
+    Command("mat", "inverse", "inverse matrix", (arg("a"),),
+            lambda a: single("matrix", matrices.inverse(_matrix(a.a)))),
+    Command("mat", "rank", "rank via elementary transformations", (arg("a"),), _rank),
+    Command("mat", "solveq", "solve AX=B (left) or XA=B (right)",
+            (arg("side", choices=["left", "right"]), arg("a"), arg("b")),
+            lambda a: single("matrix", matrices.solve_matrix_equation(
+                "left_AX_eq_B" if a.side == "left" else "right_XA_eq_B",
+                _matrix(a.a), _matrix(a.b)))),
+
+    Command("sys", "classify", "Kronecker-Capelli verdict", _SYSTEM, _sys_classify),
+    Command("sys", "gauss", "Gaussian elimination", _SYSTEM,
+            lambda a: single("solution", systems.solve_gauss(_system(a)), fmt_solution)),
+    Command("sys", "cramer", "Cramer's rule", _SYSTEM,
+            lambda a: single("solution", systems.solve_cramer(_system(a)), fmt_solution)),
+    Command("sys", "invmethod", "inverse-matrix method", _SYSTEM,
+            lambda a: single("solution", systems.solve_inverse_method(_system(a)),
+                             fmt_solution)),
+    Command("sys", "homogeneous", "A x = 0 analysis",
+            (arg("system", help="coefficient matrix A"),), _homogeneous),
+
+    Command("geo", "vec", "dot, cross, norms, angle, projection", (arg("a"), arg("b")), _vec),
+    Command("geo", "plane", "build a plane",
+            (arg("kind", choices=["three", "normal"]), arg("points", nargs="+"),
+             arg("--forms", action="store_true", help="print Hesse and segment forms")),
+            _plane),
+    Command("geo", "line", "build a line", _geo_args("line"),
+            lambda a: single("line", _geo(a))),
+    Command("geo", "relate", "mutual position", _geo_args("relate"), _relate),
+    Command("geo", "dist", "distances", _geo_args("dist"), _dist),
+
+    Command("mix", "prop", "solve lhs1:lhs2 = rhs1:rhs2 for x",
+            (arg("parts", nargs=4, metavar="MEMBER"),),
+            lambda a: single("x", ratio.solve_proportion(
+                parse_affine(a.parts[0]), parse_rational(a.parts[1]),
+                parse_affine(a.parts[2]), parse_rational(a.parts[3])))),
+    Command("mix", "split", "split a total in a given ratio",
+            (arg("total"), arg("weights", help="w1:w2:...")),
+            lambda a: single("parts", ratio.extended_split(
+                parse_rational(a.total), [parse_rational(w) for w in a.weights.split(":")]),
+                fmt_list)),
+    Command("mix", "percent", "percent rule G:100 = I:p",
+            (arg("--g"), arg("--i"), arg("--p")),
+            lambda a: single("value", ratio.percent_solve(
+                g=_opt_rat(a.g), i=_opt_rat(a.i), p=_opt_rat(a.p)))),
+    Command("mix", "chain", "chained percent changes",
+            (arg("--start"), arg("--final"),
+             arg("deltas", nargs="*", help="signed percents, e.g. -10 +15")),
+            lambda a: single("value", ratio.percent_chain(
+                start=_opt_rat(a.start), final=_opt_rat(a.final),
+                deltas=[_percent(d) for d in a.deltas]))),
+    Command("mix", "simple", "two-component mixture",
+            (arg("s1"), arg("s2"), arg("target"), arg("total")), _mix_simple),
+    Command("mix", "star", "star-scheme alligation",
+            (arg("target"), arg("total"), arg("values", nargs="+")),
+            lambda a: single("amounts", ratio.star_scheme(
+                [_percent(v) for v in a.values], _percent(a.target), parse_rational(a.total)),
+                fmt_list)),
+)
+
+
+# -- parser and dispatch ---------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -599,169 +665,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="emit the JSON schema instead of plain text")
     groups = parser.add_subparsers(dest="group", required=True)
-
-    nt = groups.add_parser("nt", help="number theory").add_subparsers(dest="op", required=True)
-    p = nt.add_parser("gcd", help="greatest common divisor")
-    p.add_argument("a", type=int); p.add_argument("b", type=int)
-    p = nt.add_parser("lcm", help="least common multiple")
-    p.add_argument("a", type=int); p.add_argument("b", type=int)
-    p = nt.add_parser("factor", help="prime factorization")
-    p.add_argument("n", type=int)
-    p = nt.add_parser("prime", help="primality by trial division")
-    p.add_argument("n", type=int)
-    p = nt.add_parser("tobase", help="digits of n in base b")
-    p.add_argument("n", type=int); p.add_argument("base", type=int)
-    p = nt.add_parser("frombase", help="value of a digit string in base b")
-    p.add_argument("digits"); p.add_argument("base", type=int)
-    p = nt.add_parser("divmod", help="division with remainder (0 <= r < b)")
-    p.add_argument("a", type=int); p.add_argument("b", type=int)
-
-    comb = groups.add_parser("comb", help="combinatorics").add_subparsers(dest="op", required=True)
-    p = comb.add_parser("fact", help="factorial")
-    p.add_argument("n", type=int)
-    p = comb.add_parser("binom", help="binomial coefficient")
-    p.add_argument("n", type=int); p.add_argument("k", type=int)
-    p = comb.add_parser("expand", help="expansion of (c1*x^e1 + c2*x^e2)^n")
-    p.add_argument("n", type=int)
-    p.add_argument("c1"); p.add_argument("e1"); p.add_argument("c2"); p.add_argument("e2")
-    p = comb.add_parser("term", help="term k (0-based) of a binomial power")
-    p.add_argument("n", type=int); p.add_argument("k", type=int)
-    p.add_argument("c1"); p.add_argument("e1"); p.add_argument("c2"); p.add_argument("e2")
-    p = comb.add_parser("sum", help="closed-form sum value")
-    p.add_argument("kind", choices=combin.sum_kinds()); p.add_argument("n", type=int)
-
-    lg = groups.add_parser("logic", help="propositional logic").add_subparsers(dest="op", required=True)
-    p = lg.add_parser("table", help="truth table")
-    p.add_argument("formula")
-    p = lg.add_parser("classify", help="tautology / contradiction / contingent")
-    p.add_argument("formula")
-    p = lg.add_parser("equiv", help="logical equivalence of two formulas")
-    p.add_argument("formula"); p.add_argument("other")
-
-    st = groups.add_parser("set", help="finite sets").add_subparsers(dest="op", required=True)
-    p = st.add_parser("ops", help="union/intersect/diff/symdiff/complement")
-    p.add_argument("setop", choices=["union", "intersect", "diff", "symdiff", "complement"])
-    p.add_argument("a"); p.add_argument("b")
-    p = st.add_parser("power", help="power set")
-    p.add_argument("a")
-    p = st.add_parser("cart", help="Cartesian product")
-    p.add_argument("a"); p.add_argument("b")
-    p = st.add_parser("venn3", help="three-set census (third set unknown)")
-    for name in ("total", "f", "e", "fe", "enj", "fnj", "fenj"):
-        p.add_argument(name, type=int)
-
-    rl = groups.add_parser("rel", help="binary relations").add_subparsers(dest="op", required=True)
-    p = rl.add_parser("props", help="reflexive/symmetric/... flags")
-    p.add_argument("relation"); p.add_argument("--on", help="carrier set literal")
-    p = rl.add_parser("classes", help="equivalence classes and quotient")
-    p.add_argument("relation"); p.add_argument("--on", help="carrier set literal")
-    p = rl.add_parser("compose", help="composition (second after first)")
-    p.add_argument("relation"); p.add_argument("other")
-    p = rl.add_parser("inverse", help="inverse relation")
-    p.add_argument("relation")
-
-    al = groups.add_parser("alg", help="finite binary operations").add_subparsers(dest="op", required=True)
-    for name, help_text in (("cayley", "print a Cayley table"),
-                            ("classify", "magma..abelian group classification")):
-        p = al.add_parser(name, help=help_text)
-        p.add_argument("table", nargs="?", help="carrier line then |S| table rows ('-' for stdin)")
-        p.add_argument("--addmod", type=int, help="use ({0..n-1}, +_n)")
-        p.add_argument("--mulmod", type=int, help="use ({0..n-1}, *_n)")
-
-    cx = groups.add_parser("cx", help="complex numbers").add_subparsers(dest="op", required=True)
-    p = cx.add_parser("arith", help="exact arithmetic on a+bi literals")
-    p.add_argument("cop", choices=["add", "sub", "mul", "div"])
-    p.add_argument("z1"); p.add_argument("z2")
-    p = cx.add_parser("polar", help="polar form (canonical angle)")
-    p.add_argument("z")
-    p = cx.add_parser("pow", help="integer power via De Moivre")
-    p.add_argument("z"); p.add_argument("n", type=int)
-    p = cx.add_parser("roots", help="all n-th roots")
-    p.add_argument("z"); p.add_argument("n", type=int)
-
-    mt = groups.add_parser("mat", help="rational matrices").add_subparsers(dest="op", required=True)
-    p = mt.add_parser("arith", help="add/sub/mul/scale/transpose")
-    p.add_argument("matop", choices=["add", "sub", "mul", "scale", "transpose"])
-    p.add_argument("a"); p.add_argument("b", nargs="?")
-    p = mt.add_parser("det", help="determinant")
-    p.add_argument("a")
-    p.add_argument("--method", default="elimination",
-                   choices=["laplace", "elimination", "sarrus3"])
-    p = mt.add_parser("adj", help="adjugate matrix")
-    p.add_argument("a")
-    p = mt.add_parser("inverse", help="inverse matrix")
-    p.add_argument("a")
-    p = mt.add_parser("rank", help="rank via elementary transformations")
-    p.add_argument("a")
-    p = mt.add_parser("solveq", help="solve AX=B (left) or XA=B (right)")
-    p.add_argument("side", choices=["left", "right"])
-    p.add_argument("a"); p.add_argument("b")
-
-    sy = groups.add_parser("sys", help="linear systems").add_subparsers(dest="op", required=True)
-    for name, help_text in (("classify", "Kronecker-Capelli verdict"),
-                            ("gauss", "Gaussian elimination"),
-                            ("cramer", "Cramer's rule"),
-                            ("invmethod", "inverse-matrix method")):
-        p = sy.add_parser(name, help=help_text)
-        p.add_argument("system", help="'A | b' (use --augmented for one matrix)")
-        p.add_argument("--augmented", action="store_true")
-    p = sy.add_parser("homogeneous", help="A x = 0 analysis")
-    p.add_argument("system", help="coefficient matrix A")
-
-    ge = groups.add_parser("geo", help="3D geometry").add_subparsers(dest="op", required=True)
-    p = ge.add_parser("vec", help="dot, cross, norms, angle, projection")
-    p.add_argument("a"); p.add_argument("b")
-    p = ge.add_parser("plane", help="build a plane")
-    p.add_argument("kind", choices=["three", "normal"])
-    p.add_argument("points", nargs="+")
-    p.add_argument("--forms", action="store_true", help="print Hesse and segment forms")
-    p = ge.add_parser("line", help="build a line")
-    p.add_argument("kind", choices=["points", "planes"])
-    p.add_argument("parts", nargs=2)
-    p = ge.add_parser("relate", help="mutual position")
-    p.add_argument("kind", choices=["planes", "lines", "lineplane"])
-    p.add_argument("parts", nargs=2)
-    p = ge.add_parser("dist", help="distances")
-    p.add_argument("kind", choices=["pointplane", "pointline", "lines"])
-    p.add_argument("parts", nargs=2)
-
-    mx = groups.add_parser("mix", help="proportions, percents, mixtures").add_subparsers(dest="op", required=True)
-    p = mx.add_parser("prop", help="solve lhs1:lhs2 = rhs1:rhs2 for x")
-    p.add_argument("parts", nargs=4, metavar=("MEMBER"))
-    p = mx.add_parser("split", help="split a total in a given ratio")
-    p.add_argument("total"); p.add_argument("weights", help="w1:w2:...")
-    p = mx.add_parser("percent", help="percent rule G:100 = I:p")
-    p.add_argument("--g"); p.add_argument("--i"); p.add_argument("--p")
-    p = mx.add_parser("chain", help="chained percent changes")
-    p.add_argument("--start"); p.add_argument("--final")
-    p.add_argument("deltas", nargs="*", help="signed percents, e.g. -10 +15")
-    p = mx.add_parser("simple", help="two-component mixture")
-    p.add_argument("s1"); p.add_argument("s2"); p.add_argument("target"); p.add_argument("total")
-    p = mx.add_parser("star", help="star-scheme alligation")
-    p.add_argument("target"); p.add_argument("total"); p.add_argument("values", nargs="+")
+    ops = {group: groups.add_parser(group, help=text).add_subparsers(dest="op", required=True)
+           for group, text in GROUPS.items()}
+    for command in COMMANDS:
+        sub = ops[command.group].add_parser(command.op, help=command.help)
+        for names, options in command.args:
+            sub.add_argument(*names, **options)
+        sub.set_defaults(run=command.run)
     return parser
 
 
-_HANDLERS = {
-    "nt": cmd_nt,
-    "comb": cmd_comb,
-    "logic": cmd_logic,
-    "set": cmd_set,
-    "rel": cmd_rel,
-    "alg": cmd_alg,
-    "cx": cmd_cx,
-    "mat": cmd_mat,
-    "sys": cmd_sys,
-    "geo": cmd_geo,
-    "mix": cmd_mix,
-}
-
-
 def dispatch(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        text, payload = _HANDLERS[args.group](args)
+        text, payload = args.run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -162,7 +162,13 @@ def pow_int(p: Polar, n: int) -> Polar:
         if n < 0:
             raise DivisionByZero("negative power of zero")
         return Polar(0.0, 0.0)
-    return Polar(p.r ** n, canonical_angle(n * p.theta))
+    try:
+        r, theta = p.r ** n, n * p.theta
+    except OverflowError:
+        r = math.inf
+    if not 0 < r < math.inf:
+        raise OutOfDomain(f"z^n for |z| = {p.r:.10g}, n = {n} is outside the float range")
+    return Polar(r, canonical_angle(theta))
 
 
 def roots_n(z: GaussianRational, n: int) -> list[Polar]:

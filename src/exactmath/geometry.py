@@ -250,17 +250,14 @@ def plane_hesse(plane: Plane) -> HesseForm:
     for D = 0 the normal keeps (A, B, C) lexicographically positive."""
     length = math.sqrt(plane.a ** 2 + plane.b ** 2 + plane.c ** 2)
     if plane.d > 0:
-        sign = -1.0
+        sign = -1
     elif plane.d < 0:
-        sign = 1.0
+        sign = 1
     else:
-        sign = 1.0 if (plane.a, plane.b, plane.c) > (0, 0, 0) else -1.0
-    return HesseForm(
-        sign * float(plane.a) / length,
-        sign * float(plane.b) / length,
-        sign * float(plane.c) / length,
-        -sign * float(plane.d) / length,
-    )
+        sign = 1 if (plane.a, plane.b, plane.c) > (0, 0, 0) else -1
+    # signed while exact, so a zero coefficient stays +0.0
+    return HesseForm(*(float(sign * x) / length
+                       for x in (plane.a, plane.b, plane.c, -plane.d)))
 
 
 def plane_parametric(plane: Plane) -> tuple:

@@ -68,6 +68,18 @@ def test_modular_tables_need_a_positive_modulus(n):
         mod_mul_table(n)
 
 
+@pytest.mark.parametrize("n", [65, 10**8])
+def test_modular_tables_check_the_cap_before_building(n, monkeypatch):
+    def build(carrier, op):
+        raise AssertionError("the carrier was built before the size check")
+
+    monkeypatch.setattr("exactmath.algstruct.cayley_table", build)
+    with pytest.raises(TooLarge):
+        mod_add_table(n)
+    with pytest.raises(TooLarge):
+        mod_mul_table(n)
+
+
 def _gauss(re, im):
     return GaussianRational(re, im)
 

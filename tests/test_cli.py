@@ -1,9 +1,12 @@
+import contextlib
 import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from exactmath.cli import build_parser, dispatch
+from exactmath.cli import COMMANDS, build_parser, dispatch
 
 GOLDEN = [
     # number theory
@@ -484,16 +487,16 @@ COMMAND_GOLDEN = [
      'en":1,"num":-6},{"den":5,"num":6}]}'),
     (["geo", "plane", "three", "(0,0,0)", "(1,0,0)", "(0,1,0)", "--forms"],
      "z = 0\n"
-     "hesse p = -0\n"
+     "hesse p = 0\n"
      "segment form undefined (zero coefficient)",
-     '{"hesse":{"cos_a":0.0,"cos_b":0.0,"cos_g":1.0,"p":-0.0},"plane'
+     '{"hesse":{"cos_a":0.0,"cos_b":0.0,"cos_g":1.0,"p":0.0},"plane'
      '":{"a":{"den":1,"num":0},"b":{"den":1,"num":0},"c":{"den":1,"n'
      'um":1},"d":{"den":1,"num":0}}}'),
     (["geo", "plane", "normal", "(0,0,0)", "(0,0,-1)", "--forms"],
      "-z = 0\n"
      "hesse p = 0\n"
      "segment form undefined (zero coefficient)",
-     '{"hesse":{"cos_a":-0.0,"cos_b":-0.0,"cos_g":1.0,"p":0.0},"plan'
+     '{"hesse":{"cos_a":0.0,"cos_b":0.0,"cos_g":1.0,"p":0.0},"plan'
      'e":{"a":{"den":1,"num":0},"b":{"den":1,"num":0},"c":{"den":1,"'
      'num":-1},"d":{"den":1,"num":0}}}'),
     (["geo", "line", "points", "(1,2,3)", "(4,6,8)"],
@@ -594,6 +597,22 @@ def test_command_golden(argv, text, payload, capsys):
     assert capsys.readouterr().out == payload + "\n"
 
 
+def test_every_command_and_choice_has_goldens():
+    """No command lands without text and --json goldens for each of its
+    `choices` values and flags."""
+    pinned = [argv for argv, _, _ in ELIMINATION_GOLDEN + COMMAND_GOLDEN]
+    assert ({tuple(argv[:2]) for argv in pinned}
+            == {(command.group, command.op) for command in COMMANDS})
+    for command in COMMANDS:
+        tokens = {token for argv in pinned if argv[:2] == [command.group, command.op]
+                  for token in argv[2:]}
+        for names, options in command.args:
+            wanted = set(options.get("choices", ()))
+            if options.get("action") == "store_true":
+                wanted.add(names[0])
+            assert wanted <= tokens, (command.group, command.op, wanted - tokens)
+
+
 @pytest.mark.parametrize("argv", [
     ["--json", "sys", "gauss", "1 1 1; 2 3 -1; 1 2 -2; 3 5 -3 | 3 4 1 5"],
     ["--json", "mat", "rank", "3 6 6 9 1; 2 4 1 2 0; -1 -2 4 5 1"],
@@ -650,6 +669,20 @@ def test_nonpositive_modulus_is_a_domain_error(argv, err, capsys):
     assert capsys.readouterr() == ("", err + "\n")
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["cx", "pow", "2", "2000"],
+     "out of domain: z^n for |z| = 2, n = 2000 is outside the float range"),
+    (["cx", "pow", "1/2", "2000"],
+     "out of domain: z^n for |z| = 0.5, n = 2000 is outside the float range"),
+    (["alg", "classify", "--addmod", "65"], "too large: carrier of 65 elements exceeds 64"),
+    (["alg", "cayley", "--addmod", "100000000"],
+     "too large: carrier of 100000000 elements exceeds 64"),
+], ids=" ".join)
+def test_out_of_range_operand_is_a_domain_error(argv, err, capsys):
+    assert dispatch(argv) == 1
+    assert capsys.readouterr() == ("", err + "\n")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["mat", "det"])
@@ -675,3 +708,67 @@ def test_help_lists_all_groups():
     for group in ("nt", "comb", "logic", "set", "rel", "alg",
                   "cx", "mat", "sys", "geo", "mix"):
         assert group in help_text
+
+
+# -- argv fuzzing ----------------------------------------------------------
+
+SMALL_INTS = ["-1", "0", "1", "2", "3", "7", "12", "x", "1/2"]
+# integer operands whose size is capped, so large values end quickly
+CAPPED_INTS = {
+    ("cx", "pow", "n"): ["2000", "-2000", "1000000"],
+    ("alg", "cayley", "--addmod"): ["65", "100000000"],
+    ("alg", "cayley", "--mulmod"): ["65", "100000000"],
+    ("alg", "classify", "--addmod"): ["65", "100000000"],
+    ("alg", "classify", "--mulmod"): ["65", "100000000"],
+}
+TOKENS = [
+    "2", "1/2", "-", "", "0", "1", "1/0", "x", "x+9", "2x-3", "32%", "5‰", "1:2:3", "0:0",
+    "{}", "{a,b,c}", "{1,2}", "{1,a}", "{(1,1),(2,2),(1,2)}", "{(1,2),(2,3)}", "{(a,b)}", "{",
+    "3+4i", "i", "2-5i", "(1,2,3)", "(0,0,0)", "(1,0,0)", "(1,2)", "1 -2 -2 3", "0 0 1 0",
+    "point=(0,0,0) dir=(1,0,0)", "(x-1)/3 = (y-2)/-2 = (z-3)/1", "point=(1,1,1) dir=(0,0,0)",
+    "1 2; 3 4", "3 2 -1; 1 2 4; 0 6 -2", "1 2 3", "1 2; 3", "0 0; 0 0", "1 1; 1 -1 | 2 0",
+    "1 1 2; 1 1 3", "1 2 |", "p & !q", "p -> (q -> p)", "p &", "e a\ne a\na e", "a b\na c\nb b",
+]
+ARITY = {None: (1, 1), "?": (0, 1), "+": (1, 3), "*": (0, 3)}
+
+
+def fuzz_argv(command):
+    """Argvs of the right arity for one command, drawn from the alphabets above."""
+    parts = [st.sampled_from([[], ["--json"]]), st.just([command.group, command.op])]
+    for names, options in command.args:
+        name = names[0]
+        if options.get("action") == "store_true":
+            parts.append(st.sampled_from([[], [name]]))
+            continue
+        values = st.sampled_from(
+            options.get("choices")
+            or CAPPED_INTS.get((command.group, command.op, name), [])
+            + (SMALL_INTS if options.get("type") is int else TOKENS))
+        if name.startswith("--"):
+            parts.append(st.one_of(st.just([]), values.map(lambda v, name=name: [name, v])))
+        else:
+            low, high = ARITY.get(options.get("nargs"), (options.get("nargs"),) * 2)
+            parts.append(st.lists(values, min_size=low, max_size=high))
+    return st.tuples(*parts).map(lambda chunks: sum(chunks, []))
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: f"{c.group} {c.op}")
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_every_argv_ends_in_an_exit_code(command, data):
+    """Any argv of the right shape exits 0, 1 or 2 (argparse's SystemExit(2)
+    included), never with a traceback, and prints nothing on stdout when it
+    fails.  Integers stay small except where a cap bounds the work: trial
+    division in `nt factor`, `comb fact` and `mat det --method laplace` are
+    still unbounded."""
+    argv = data.draw(fuzz_argv(command))
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO("1 2; 3 4")), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = dispatch(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 1, 2), argv
+    assert code == 0 or out.getvalue() == "", argv

@@ -22,7 +22,7 @@ from exactmath import (
     roots_n,
     to_polar,
 )
-from exactmath.errors import BadDegree, DivisionByZero, ZeroArgument
+from exactmath.errors import BadDegree, DivisionByZero, OutOfDomain, ZeroArgument
 
 TOL = 1e-9
 F = Fraction
@@ -135,6 +135,14 @@ def test_pow_1_plus_i_8():
     p = pow_int(to_polar(G(1, 1)), 8)
     assert abs(p.r - 16.0) < TOL
     assert abs(p.theta) < TOL
+
+
+@pytest.mark.parametrize("r,n", [(2.0, 2000), (0.5, 2000), (0.5, -2000), (1.0, 10**400)],
+                         ids=["overflow", "underflow", "negative power", "angle overflow"])
+def test_pow_outside_the_float_range_is_a_domain_error(r, n):
+    # overflow raised OverflowError, and underflow gave r = 0 for a nonzero base
+    with pytest.raises(OutOfDomain):
+        pow_int(Polar(r, 1.0), n)
 
 
 def test_cube_roots_of_1_minus_i():

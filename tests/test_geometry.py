@@ -190,6 +190,14 @@ def test_hesse_form():
     assert abs(flipped.p - hesse.p) < TOL
 
 
+@pytest.mark.parametrize("plane", [Plane(0, 0, 1, 0), Plane(0, 0, -1, 0), Plane(0, -2, 0, 0),
+                                   Plane(0, 0, -1, 3)])
+def test_hesse_form_has_no_negative_zeros(plane):
+    hesse = plane_hesse(plane)
+    values = (hesse.cos_a, hesse.cos_b, hesse.cos_g, hesse.p)
+    assert all(v != 0 or math.copysign(1.0, v) > 0 for v in values), values
+
+
 def test_plane_parametric():
     plane = Plane(1, 1, 1, -3)
     point, u_dir, v_dir = plane_parametric(plane)
