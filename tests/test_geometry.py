@@ -54,7 +54,7 @@ from exactmath.errors import (
     ZeroCoefficient,
     ZeroVector,
 )
-from exactmath.systems import Inconsistent
+from exactmath.systems import LinearSystem, Unique, solve_gauss
 
 TOL = 1e-9
 F = Fraction
@@ -244,15 +244,53 @@ def test_plane_pair_line_fixture():
         line_plane_intersection_line(Plane(1, 1, 1, 0), Plane(2, 2, 2, -5))
 
 
-def test_solver_invariant_failures_are_not_domain_errors(monkeypatch):
-    # non-parallel planes and coplanar non-parallel lines always meet in a
-    # unique point; a solver saying otherwise is a bug, kept under python -O
-    monkeypatch.setattr("exactmath.geometry.solve_gauss", lambda system: Inconsistent())
-    with pytest.raises(RuntimeError):
-        line_plane_intersection_line(Plane(2, -1, -1, -4), Plane(2, -3, -2, 7))
-    with pytest.raises(RuntimeError):
-        lines_relation(line_point_dir(Vec3(0, 0, 0), Vec3(1, 2, 3)),
-                       line_point_dir(Vec3(1, 2, 0), Vec3(0, 0, 1)))
+def test_closed_form_solves_match_gauss_oracle():
+    """decompose, the plane-pair anchor and the line intersection point
+    against solve_gauss on the same small integer systems."""
+    rng = random.Random(2024)
+
+    def gauss(columns, rhs):
+        a = Matrix([[col[i] for col in columns] for i in range(len(rhs))])
+        solution = solve_gauss(LinearSystem(a, rhs))
+        assert isinstance(solution, Unique)
+        return solution.values
+
+    checked = {"three": 0, "two": 0, "planes": 0, "lines": 0}
+    for _ in range(300):
+        a, b, c, target = (rand_vec(rng) for _ in range(4))
+        if lin_indep(a, b, c):
+            assert decompose(target, (a, b, c)) == gauss(
+                [v.components() for v in (a, b, c)], target.components())
+            checked["three"] += 1
+        if not collinear(a, b):
+            in_plane = a.scaled(rng.randint(-5, 5)) + b.scaled(F(rng.randint(-5, 5), 3))
+            assert decompose(in_plane, (a, b)) == gauss(
+                [a.components(), b.components()], in_plane.components())
+            checked["two"] += 1
+        if not collinear(a, b):
+            p1 = Plane(a.x, a.y, a.z, rng.randint(-9, 9))
+            p2 = Plane(b.x, b.y, b.z, rng.randint(-9, 9))
+            line = line_plane_intersection_line(p1, p2)
+            sizes = [abs(v) for v in line.dir.components()]
+            keep = [i for i in range(3) if i != sizes.index(max(sizes))]
+            values = gauss([[p.normal().components()[i] for p in (p1, p2)] for i in keep],
+                           (-p1.d, -p2.d))
+            anchor = [F(0)] * 3
+            for i, value in zip(keep, values):
+                anchor[i] = value
+            assert line.point == Vec3(*anchor)
+            checked["planes"] += 1
+        if not collinear(a, b):
+            meet = rand_vec(rng)
+            l1 = line_point_dir(meet - a.scaled(rng.randint(-3, 3)), a)
+            l2 = line_point_dir(meet + b.scaled(F(rng.randint(-3, 3), 2)), b)
+            result = lines_relation(l1, l2)
+            t = gauss([a.components(), (-b).components()],
+                      (l2.point - l1.point).components())[0]
+            assert result["kind"] == "intersecting"
+            assert result["point"] == l1.at(t) == meet
+            checked["lines"] += 1
+    assert min(checked.values()) > 200, checked
 
 
 def test_line_parametric():

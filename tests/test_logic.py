@@ -43,6 +43,34 @@ def test_parse_error_carries_position():
     assert info.value.position is not None
 
 
+@pytest.mark.parametrize("text,message,position", [
+    ("(p", "expected ')'", 2),
+    ("((p & q)", "expected ')'", 8),
+    ("p -> (q", "expected ')'", 7),
+    ("p & (q |", "unexpected end of input", 8),
+    ("p q", "trailing input 'q'", 2),
+    ("p & q r", "trailing input 'r'", 6),
+    ("(p & q) (r)", "trailing input '('", 8),
+    ("p ->", "unexpected end of input", 4),
+    ("p -> -> q", "unexpected token '->'", 5),
+    ("p <->", "unexpected end of input", 5),
+    ("q | p <->", "unexpected end of input", 9),
+    (")", "unexpected token ')'", 0),
+    ("p)", "trailing input ')'", 1),
+    ("p <-> q)", "trailing input ')'", 7),
+    ("&p", "unexpected token '&'", 0),
+    ("p&@", "unexpected character '@'", 2),
+    ("P", "unexpected character 'P'", 0),
+    ("()", "unexpected token ')'", 1),
+    ("p & ()", "unexpected token ')'", 5),
+    ("p & !", "unexpected end of input", 5),
+])
+def test_parse_error_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse_formula(text)
+    assert (str(info.value), info.value.position) == (message, position)
+
+
 TAUTOLOGIES = [
     "(p & !p) -> q",                 # ex falso
     "p | !p",                        # excluded middle
