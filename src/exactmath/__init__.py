@@ -6,7 +6,7 @@ numbers, rational matrices, linear-system solving, 3D analytic geometry,
 and proportion/percent/mixture calculators.
 """
 
-from .rationals import Rational, format_rational, parse_rational, rat_arith
+from .rationals import Rational, parse_rational
 from .arith import (
     Digits,
     divides,
@@ -75,7 +75,6 @@ from .complexn import (
     Polar,
     arg_canonical,
     arg_principal,
-    c_arith,
     conj,
     from_polar,
     i_pow,
@@ -96,7 +95,6 @@ from .matrices import (
     cofactor_matrix,
     det,
     inverse,
-    mat_arith,
     matmul,
     minor,
     rank,

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import re
 import sys
 from enum import Enum
@@ -35,7 +36,7 @@ from . import (
     systems,
 )
 from .errors import KernelError, ParseError
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 
 # -- rendering -------------------------------------------------------------
 
@@ -70,8 +71,6 @@ def dump_json(payload) -> str:
 def fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return format_rational(value)
     if isinstance(value, float):
         return f"{value:.10g}"
     return str(value)
@@ -82,11 +81,10 @@ def fmt_list(values) -> str:
 
 
 def fmt_monomial(m: combin.Monomial) -> str:
-    coeff = format_rational(m.coeff)
+    coeff = str(m.coeff)
     if m.exponent == 0:
         return coeff
-    exp = (format_rational(m.exponent) if m.exponent.denominator == 1
-           else f"({format_rational(m.exponent)})")
+    exp = str(m.exponent) if m.exponent.denominator == 1 else f"({m.exponent})"
     x = "x" if exp == "1" else f"x^{exp}"
     return x if coeff == "1" else f"{coeff}*{x}"
 
@@ -104,12 +102,11 @@ def fmt_affine_combo(constant: Fraction, coeffs, names) -> str:
             continue
         sign = "-" if coeff < 0 else ("+" if parts else "")
         size = abs(coeff)
-        body = name if size == 1 else f"{format_rational(size)}*{name}"
+        body = name if size == 1 else f"{size}*{name}"
         parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
     if constant != 0 or not parts:
-        text = format_rational(constant)
-        parts.append(f"+ {text}" if parts and constant > 0 else
-                     (f"- {format_rational(-constant)}" if parts else text))
+        parts.append(f"+ {constant}" if parts and constant > 0 else
+                     (f"- {-constant}" if parts else str(constant)))
     return " ".join(parts)
 
 
@@ -117,7 +114,7 @@ def fmt_solution(solution) -> str:
     if isinstance(solution, systems.Inconsistent):
         return "inconsistent"
     if isinstance(solution, systems.Unique):
-        return ", ".join(f"x{i + 1} = {format_rational(v)}"
+        return ", ".join(f"x{i + 1} = {v}"
                          for i, v in enumerate(solution.values))
     names = [f"t{i + 1}" for i in range(len(solution.directions))]
     lines = []
@@ -380,17 +377,21 @@ def _cx_pow(args):
     return f"{fmt_polar(p)}\nxy = ({x:.10g}, {y:.10g})", {"polar": p, "xy": [x, y]}
 
 
-def _mat_arith(args):
+# cx arith and mat arith: choice -> operator
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+          "div": operator.truediv}
+
+
+def _matrix_op(args):
     a = _matrix(args.a)
-    if args.b is None and args.matop != "transpose":
-        raise ParseError(f"{args.matop} needs a second operand")
     if args.matop == "transpose":
         return single("matrix", matrices.transpose(a))
+    if args.b is None:
+        raise ParseError(f"{args.matop} needs a second operand")
     if args.matop == "scale":
         return single("matrix", matrices.scale(parse_rational(args.b), a))
-    if args.matop == "mul":
-        return single("matrix", matrices.matmul(a, _matrix(args.b)))
-    return single("matrix", matrices.mat_arith(a, _matrix(args.b), args.matop))
+    kernel = matrices.matmul if args.matop == "mul" else _ARITH[args.matop]
+    return single("matrix", kernel(a, _matrix(args.b)))
 
 
 def _rank(args):
@@ -576,7 +577,7 @@ COMMANDS = (
 
     Command("cx", "arith", "exact arithmetic on a+bi literals",
             (arg("cop", choices=["add", "sub", "mul", "div"]), arg("z1"), arg("z2")),
-            lambda a: single("result", complexn.c_arith(_complex(a.z1), _complex(a.z2), a.cop))),
+            lambda a: single("result", _ARITH[a.cop](_complex(a.z1), _complex(a.z2)))),
     Command("cx", "polar", "polar form (canonical angle)", (arg("z"),),
             lambda a: single("polar", complexn.to_polar(_complex(a.z)), fmt_polar)),
     Command("cx", "pow", "integer power via De Moivre", (arg("z"), _N), _cx_pow),
@@ -586,7 +587,7 @@ COMMANDS = (
 
     Command("mat", "arith", "add/sub/mul/scale/transpose",
             (arg("matop", choices=["add", "sub", "mul", "scale", "transpose"]),
-             arg("a"), arg("b", nargs="?")), _mat_arith),
+             arg("a"), arg("b", nargs="?")), _matrix_op),
     Command("mat", "det", "determinant",
             (arg("a"), arg("--method", default="elimination",
                            choices=["laplace", "elimination", "sarrus3"])),

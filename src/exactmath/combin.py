@@ -6,12 +6,20 @@ induction chapter.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import OutOfDomain, UnknownKind
+from .errors import OutOfDomain, TooLarge, UnknownKind
+
+# Results are printed in decimal, and Python refuses to convert an int of
+# more than 4300 digits to str; 1558! is the largest factorial below that.
+MAX_FACTORIAL = 1500
+MAX_DIGITS = 4300
+_DIGIT_LIMIT = 10 ** MAX_DIGITS
 
 
 def factorial(n: int) -> int:
     if n < 0:
         raise OutOfDomain(f"factorial requires n >= 0, got {n}")
+    if n > MAX_FACTORIAL:
+        raise TooLarge(f"{n}! exceeds the cap of {MAX_FACTORIAL}!")
     result = 1
     for k in range(2, n + 1):
         result *= k
@@ -22,14 +30,17 @@ def binom(n: int, k: int) -> int:
     """Binomial coefficient by the multiplicative formula.
 
     Each intermediate division is exact (Pascal's rule guarantees
-    integrality), so no big factorials are formed.
+    integrality), so no big factorials are formed.  The intermediates
+    C(n, 1), C(n, 2), ... grow up to the result, and C(n, j) >= 2^j, so a
+    result past MAX_DIGITS stops the loop within about 14 300 steps.
     """
     if n < 0 or not 0 <= k <= n:
         raise OutOfDomain(f"binom requires 0 <= k <= n, got n={n}, k={k}")
-    k = min(k, n - k)
     result = 1
-    for i in range(k):
+    for i in range(min(k, n - k)):
         result = result * (n - i) // (i + 1)
+        if result >= _DIGIT_LIMIT:
+            raise TooLarge(f"binom({n}, {k}) has more than {MAX_DIGITS} digits")
     return result
 
 

@@ -10,9 +10,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadDegree, DivisionByZero, OutOfDomain, ZeroArgument
+from .errors import BadDegree, DivisionByZero, OutOfDomain, TooLarge, ZeroArgument
 
 TWO_PI = 2 * math.pi
+MAX_ROOTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -67,18 +68,6 @@ class Polar:
     def __post_init__(self):
         if self.r < 0 or not math.isfinite(self.theta):
             raise OutOfDomain("polar form needs r >= 0 and a finite angle")
-
-
-def c_arith(z1: GaussianRational, z2: GaussianRational, op: str) -> GaussianRational:
-    if op == "add":
-        return z1 + z2
-    if op == "sub":
-        return z1 - z2
-    if op == "mul":
-        return z1 * z2
-    if op == "div":
-        return z1 / z2
-    raise OutOfDomain(f"unknown complex op {op!r}")
 
 
 def conj(z: GaussianRational) -> GaussianRational:
@@ -181,6 +170,8 @@ def roots_n(z: GaussianRational, n: int) -> list[Polar]:
         raise ZeroArgument("roots of 0 are not enumerated")
     if n < 2:
         raise BadDegree(f"root degree must be >= 2, got {n}")
+    if n > MAX_ROOTS:
+        raise TooLarge(f"{n} roots exceed the cap of {MAX_ROOTS}")
     r = modulus(z) ** (1.0 / n)
     phi = arg_canonical(z)
     return [Polar(r, canonical_angle((phi + TWO_PI * k) / n)) for k in range(n)]

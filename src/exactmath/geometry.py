@@ -22,7 +22,6 @@ from .errors import (
     ZeroVector,
 )
 from .matrices import Matrix, det
-from .systems import LinearSystem, Unique, solve_gauss
 
 
 @dataclass(frozen=True)
@@ -115,26 +114,26 @@ def decompose(target: Vec3, basis) -> tuple:
     """Exact coefficients of target in a basis of 2 or 3 vectors.
 
     A 2-vector basis must be independent and span a plane containing the
-    target; a 3-vector basis must be independent.
+    target; a 3-vector basis must be independent.  Cramer's rule in mixed
+    products; a 2-vector basis (a, b) is completed by a x b, whose
+    coefficient is then 0.
     """
     basis = tuple(basis)
-    columns = [v.components() for v in basis]
     if len(basis) == 3:
         if not lin_indep(*basis):
             raise DependentBasis("the three basis vectors are coplanar")
+        frame = basis
     elif len(basis) == 2:
-        if collinear(basis[0], basis[1]):
+        if collinear(*basis):
             raise DependentBasis("the two basis vectors are collinear")
-        if not coplanar(basis[0], basis[1], target):
+        if not coplanar(*basis, target):
             raise NotInSpan("target is outside the plane of the basis")
+        frame = (*basis, cross(*basis))
     else:
         raise DependentBasis("a basis here has 2 or 3 vectors")
-    a = Matrix([[col[i] for col in columns] for i in range(3)])
-    solution = solve_gauss(LinearSystem(a, target.components()))
-    if isinstance(solution, Unique):
-        return solution.values
-    # 2-vector case: 3 equations, 2 unknowns, consistent by the span check
-    return solution.instantiate([])  # pragma: no cover - spans are exact
+    volume = mixed(*frame)
+    return tuple(mixed(*frame[:i], target, *frame[i + 1:]) / volume
+                 for i in range(len(basis)))
 
 
 # -- derived measures ------------------------------------------------------
@@ -322,19 +321,16 @@ def line_plane_intersection_line(p1: Plane, p2: Plane) -> Line:
     direction = cross(p1.normal(), p2.normal())
     if direction.is_zero():
         raise ParallelPlanes("the planes are parallel or identical")
-    magnitudes = [abs(direction.x), abs(direction.y), abs(direction.z)]
+    magnitudes = [abs(v) for v in direction.components()]
     zero_coord = magnitudes.index(max(magnitudes))
-    keep = [i for i in range(3) if i != zero_coord]
-    a = Matrix([
-        [(p1.a, p1.b, p1.c)[i] for i in keep],
-        [(p2.a, p2.b, p2.c)[i] for i in keep],
-    ])
-    solution = solve_gauss(LinearSystem(a, (-p1.d, -p2.d)))
-    if not isinstance(solution, Unique):
-        raise RuntimeError("non-parallel planes gave no unique point on their line")
+    i, j = (k for k in range(3) if k != zero_coord)
+    # Cramer on n1[i] u + n1[j] v = -d1, n2[i] u + n2[j] v = -d2; the
+    # determinant is +-direction[zero_coord], so it is not 0
+    n1, n2 = p1.normal().components(), p2.normal().components()
+    det2 = n1[i] * n2[j] - n1[j] * n2[i]
     coords = [Fraction(0)] * 3
-    for i, value in zip(keep, solution.values):
-        coords[i] = value
+    coords[i] = (p2.d * n1[j] - p1.d * n2[j]) / det2
+    coords[j] = (p1.d * n2[i] - p2.d * n1[i]) / det2
     return Line(Vec3(*coords), direction)
 
 
@@ -390,18 +386,9 @@ def lines_relation(l1: Line, l2: Line) -> dict:
         return result
     offset = l2.point - l1.point
     if mixed(l1.dir, l2.dir, offset) == 0:
-        # coplanar and non-parallel: solve p1 + t*a1 = p2 + s*a2
-        a = Matrix([
-            [l1.dir.x, -l2.dir.x],
-            [l1.dir.y, -l2.dir.y],
-            [l1.dir.z, -l2.dir.z],
-        ])
-        solution = solve_gauss(LinearSystem(a, offset.components()))
-        if not isinstance(solution, Unique):
-            raise RuntimeError("coplanar non-parallel lines gave no unique intersection")
-        point = l1.at(solution.values[0])
+        # coplanar and non-parallel: p1 + t*a1 = p2 + s*a2, so t*a1 + s*(-a2) = p2 - p1
         result["kind"] = "intersecting"
-        result["point"] = point
+        result["point"] = l1.at(decompose(offset, (l1.dir, -l2.dir))[0])
         return result
     d_sq = (mixed(l1.dir, l2.dir, offset) ** 2
             / norm_sq(cross(l1.dir, l2.dir)))

@@ -1,17 +1,9 @@
-"""Propositional logic: formula trees, a recursive-descent parser, truth
+"""Propositional logic: formula trees, a precedence-climbing parser, truth
 tables, and tautology/contradiction/contingency classification.
 
-Concrete syntax (precedence high to low, '->' right-associative, the rest
-left-associative):
-
-    ! ~        negation
-    &          conjunction
-    |          disjunction
-    ^          exclusive disjunction
-    ->         implication
-    <->        equivalence
-
-Atoms match [a-z][a-z0-9]*; parentheses override precedence.
+Concrete syntax: atoms match [a-z][a-z0-9]*, negation ('!' or '~') binds
+tightest, the binary connectives bind as listed in ``_BINARY``, and
+parentheses override precedence.
 """
 
 import re
@@ -91,6 +83,13 @@ class Classification(Enum):
     CONTINGENT = "contingent"
 
 
+# Binary connectives from the loosest to the tightest binding: equivalence,
+# implication (right-associative), exclusive disjunction, disjunction and
+# conjunction (left-associative).  Negation binds tighter than all of them.
+_BINARY = (("<->", Iff), ("->", Implies), ("^", Xor), ("|", Or), ("&", And))
+_CONNECTIVE = {symbol: (level, node) for level, (symbol, node) in enumerate(_BINARY)}
+_NEGATION = ("!", "~")
+
 _TOKEN = re.compile(r"\s*(<->|->|[!~&|^()]|[a-z][a-z0-9]*)")
 
 
@@ -134,56 +133,33 @@ class _Parser:
             return self.tokens[self.index][1]
         return len(self.text)
 
-    # formula := iff ; iff := imp ("<->" imp)*
     def parse(self) -> Formula:
-        f = self.iff()
+        f = self.binary()
         if self.peek() is not None:
             raise ParseError(f"trailing input {self.peek()!r}", position=self._position())
         return f
 
-    def iff(self) -> Formula:
-        f = self.imp()
-        while self.peek() == "<->":
-            self.advance()
-            f = Iff(f, self.imp())
-        return f
-
-    def imp(self) -> Formula:  # right-associative
-        f = self.xor()
-        if self.peek() == "->":
-            self.advance()
-            return Implies(f, self.imp())
-        return f
-
-    def xor(self) -> Formula:
-        f = self.disj()
-        while self.peek() == "^":
-            self.advance()
-            f = Xor(f, self.disj())
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek() == "|":
-            self.advance()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
+    def binary(self, level=0) -> Formula:
+        """Operands joined by connectives of `level` or tighter (Pratt)."""
         f = self.unary()
-        while self.peek() == "&":
+        while self.peek() in _CONNECTIVE:
+            tightness, node = _CONNECTIVE[self.peek()]
+            if tightness < level:
+                break
             self.advance()
-            f = And(f, self.unary())
+            # the right operand of a left-associative connective stops at
+            # the next connective of the same level
+            f = node(f, self.binary(tightness + (node is not Implies)))
         return f
 
     def unary(self) -> Formula:
         token = self.peek()
-        if token in ("!", "~"):
+        if token in _NEGATION:
             self.advance()
             return Not(self.unary())
         if token == "(":
             self.advance()
-            f = self.iff()
+            f = self.binary()
             self.expect(")")
             return f
         if token is None:
@@ -200,20 +176,22 @@ def parse_formula(text: str) -> Formula:
     return _Parser(text).parse()
 
 
-_PRECEDENCE = {Iff: 1, Implies: 2, Xor: 3, Or: 4, And: 5, Not: 6, Atom: 7}
+_SYMBOL = {node: symbol for symbol, node in _BINARY}
+_PRECEDENCE = {node: level for level, node
+               in enumerate([node for _, node in _BINARY] + [Not, Atom], start=1)}
 
 
 def print_formula(f: Formula) -> str:
     """Render with minimal parentheses; parse(print(f)) == f."""
 
-    def render(node, parent_prec, right_side=False):
+    def render(node, parent_prec):
         prec = _PRECEDENCE[type(node)]
         if isinstance(node, Atom):
             text = node.name
         elif isinstance(node, Not):
-            text = "!" + render(node.operand, prec)
+            text = _NEGATION[0] + render(node.operand, prec)
         else:
-            symbol = {And: "&", Or: "|", Xor: "^", Implies: "->", Iff: "<->"}[type(node)]
+            symbol = _SYMBOL[type(node)]
             # left-assoc chains keep the left child at equal precedence;
             # implication is right-associative so the mirror rule applies
             if isinstance(node, Implies):

@@ -5,6 +5,7 @@ inverse by Gauss-Jordan elimination, rank via elementary row operations
 equations AX=B and XA=B.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from .errors import (
     ShapeMismatch,
     Singular,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,19 @@ class Matrix:
     def is_square(self) -> bool:
         return self.m == self.n
 
+    def _entrywise(self, other, op) -> "Matrix":
+        if (self.m, self.n) != (other.m, other.n):
+            raise ShapeMismatch(f"shapes {self.m}x{self.n} and {other.m}x{other.n} differ")
+        return Matrix([map(op, ra, rb) for ra, rb in zip(self.entries, other.entries)])
+
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
+
+    def __sub__(self, other):
+        return self._entrywise(other, operator.sub)
+
     def __str__(self):
-        cells = [[format_rational(x) for x in row] for row in self.entries]
+        cells = [[str(x) for x in row] for row in self.entries]
         widths = [max(len(r[j]) for r in cells) for j in range(self.n)]
         return "\n".join(
             " ".join(cell.rjust(w) for cell, w in zip(row, widths))
@@ -83,18 +95,6 @@ class Matrix:
         if any(len(row) != len(rows[0]) for row in rows):
             raise ParseError("ragged rows")
         return Matrix(rows)
-
-
-def mat_arith(a: Matrix, b: Matrix, op: str) -> Matrix:
-    if (a.m, a.n) != (b.m, b.n):
-        raise ShapeMismatch(f"shapes {a.m}x{a.n} and {b.m}x{b.n} differ")
-    if op == "add":
-        return Matrix([[x + y for x, y in zip(ra, rb)]
-                       for ra, rb in zip(a.entries, b.entries)])
-    if op == "sub":
-        return Matrix([[x - y for x, y in zip(ra, rb)]
-                       for ra, rb in zip(a.entries, b.entries)])
-    raise BadMethod(f"unknown matrix op {op!r}")
 
 
 def scale(alpha, a: Matrix) -> Matrix:
@@ -289,7 +289,7 @@ def rank(a: Matrix) -> EchelonReport:
     pivots, ops = _forward(rows, a.n)
     log = tuple(
         f"{_roman(i)}v<->{_roman(j)}v" if factor is None
-        else f"{_roman(i)}v-({format_rational(factor)}){_roman(j)}v"
+        else f"{_roman(i)}v-({factor}){_roman(j)}v"
         for i, factor, j in ops
     )
     return EchelonReport(Matrix(rows), len(pivots), tuple(pivots), log)

@@ -50,29 +50,3 @@ def parse_rational(text: str) -> Fraction:
         value += Fraction(int(frac), 10 ** len(frac))
     return sign * value
 
-
-def format_rational(q: Fraction) -> str:
-    """Render as the text does: "5/6", or plain "7" for integers."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def rat_arith(a: Fraction, b: Fraction, op: str):
-    """Dispatch add/sub/mul/div/cmp on two rationals.
-
-    ``cmp`` returns -1, 0 or 1; the others return a normalized Fraction.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise DivisionByZero("division by zero")
-        return a / b
-    if op == "cmp":
-        return (a > b) - (a < b)
-    raise ParseError(f"unknown rational op {op!r}")

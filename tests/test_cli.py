@@ -413,6 +413,12 @@ COMMAND_GOLDEN = [
      "3/2 2",
      '{"matrix":[[{"den":2,"num":1},{"den":1,"num":1}],[{"den":2,"nu'
      'm":3},{"den":1,"num":2}]]}'),
+    # a negative operand goes after '--', or argparse reads it as an option
+    (["mat", "arith", "scale", "1 2; 3 4", "--", "-1/2"],
+     "-1/2 -1\n"
+     "-3/2 -2",
+     '{"matrix":[[{"den":2,"num":-1},{"den":1,"num":-1}],[{"den":2,"nu'
+     'm":-3},{"den":1,"num":-2}]]}'),
     (["mat", "arith", "transpose", "1 2 3; 4 5 6"],
      "1 4\n"
      "2 5\n"
@@ -677,6 +683,11 @@ def test_nonpositive_modulus_is_a_domain_error(argv, err, capsys):
     (["alg", "classify", "--addmod", "65"], "too large: carrier of 65 elements exceeds 64"),
     (["alg", "cayley", "--addmod", "100000000"],
      "too large: carrier of 100000000 elements exceeds 64"),
+    (["comb", "fact", "2000"], "too large: 2000! exceeds the cap of 1500!"),
+    (["--json", "comb", "fact", "2000"], "too large: 2000! exceeds the cap of 1500!"),
+    (["comb", "binom", "20000", "10000"],
+     "too large: binom(20000, 10000) has more than 4300 digits"),
+    (["cx", "roots", "1", "10001"], "too large: 10001 roots exceed the cap of 10000"),
 ], ids=" ".join)
 def test_out_of_range_operand_is_a_domain_error(argv, err, capsys):
     assert dispatch(argv) == 1
@@ -715,7 +726,11 @@ def test_help_lists_all_groups():
 SMALL_INTS = ["-1", "0", "1", "2", "3", "7", "12", "x", "1/2"]
 # integer operands whose size is capped, so large values end quickly
 CAPPED_INTS = {
+    ("comb", "fact", "n"): ["1500", "1501", "1000000"],
+    ("comb", "binom", "n"): ["14000", "20000", "1000000"],
+    ("comb", "binom", "k"): ["7000", "10000", "500000"],
     ("cx", "pow", "n"): ["2000", "-2000", "1000000"],
+    ("cx", "roots", "n"): ["10000", "10001", "1000000000"],
     ("alg", "cayley", "--addmod"): ["65", "100000000"],
     ("alg", "cayley", "--mulmod"): ["65", "100000000"],
     ("alg", "classify", "--addmod"): ["65", "100000000"],
@@ -759,8 +774,8 @@ def test_every_argv_ends_in_an_exit_code(command, data):
     """Any argv of the right shape exits 0, 1 or 2 (argparse's SystemExit(2)
     included), never with a traceback, and prints nothing on stdout when it
     fails.  Integers stay small except where a cap bounds the work: trial
-    division in `nt factor`, `comb fact` and `mat det --method laplace` are
-    still unbounded."""
+    division in `nt factor` and `mat det --method laplace` are still
+    unbounded."""
     argv = data.draw(fuzz_argv(command))
     out = io.StringIO()
     with mock.patch("sys.stdin", io.StringIO("1 2; 3 4")), \

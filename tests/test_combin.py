@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from exactmath import (
     factorial,
     sum_kinds,
 )
-from exactmath.errors import OutOfDomain, UnknownKind
+from exactmath.combin import MAX_DIGITS, MAX_FACTORIAL
+from exactmath.errors import OutOfDomain, TooLarge, UnknownKind
 
 F = Fraction
 
@@ -24,6 +26,31 @@ def test_factorial():
     assert factorial(10) == 3628800
     with pytest.raises(OutOfDomain):
         factorial(-1)
+
+
+def test_factorial_cap():
+    assert factorial(MAX_FACTORIAL) == math.factorial(MAX_FACTORIAL)
+    assert len(str(factorial(MAX_FACTORIAL))) <= MAX_DIGITS
+    with pytest.raises(TooLarge, match=r"^1501! exceeds the cap of 1500!$"):
+        factorial(MAX_FACTORIAL + 1)
+
+
+@pytest.mark.parametrize("n", [14300, 20000, 10**6, 10**18])
+def test_binom_cap_is_the_first_result_past_the_digit_limit(n):
+    """Walk k up to the last C(n, k) of at most MAX_DIGITS digits: it is
+    exact, and the next one raises."""
+    limit = 10 ** MAX_DIGITS
+    # C(n, j) >= 2^j, so C(n, 14300) is past the limit once n >= 28600
+    low, high = 0, min(n // 2, 14300)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if math.comb(n, mid) < limit else (low, mid)
+    assert binom(n, low) == math.comb(n, low)
+    assert binom(n, n - low) == math.comb(n, low)
+    with pytest.raises(TooLarge, match=rf"^binom\({n}, {high}\) has more than 4300 digits$"):
+        binom(n, high)
+    with pytest.raises(TooLarge):
+        binom(n, n - high)
 
 
 def test_binom_values():

@@ -9,7 +9,6 @@ from exactmath import (
     Polar,
     arg_canonical,
     arg_principal,
-    c_arith,
     conj,
     from_polar,
     i_pow,
@@ -22,7 +21,8 @@ from exactmath import (
     roots_n,
     to_polar,
 )
-from exactmath.errors import BadDegree, DivisionByZero, OutOfDomain, ZeroArgument
+from exactmath.complexn import MAX_ROOTS
+from exactmath.errors import BadDegree, DivisionByZero, OutOfDomain, TooLarge, ZeroArgument
 
 TOL = 1e-9
 F = Fraction
@@ -37,7 +37,6 @@ def test_exact_arithmetic():
     assert G(3, 4) + G(2, -5) == G(5, -1)
     assert G(3, 4) - G(2, -5) == G(1, 9)
     assert G(2, -3) / G(1, 1) == G(F(-1, 2), F(-5, 2))
-    assert c_arith(G(3, 4), G(2, -5), "mul") == G(26, -7)
     with pytest.raises(DivisionByZero):
         G(1) / G(0)
 
@@ -173,6 +172,12 @@ def test_roots_errors():
         roots_n(G(0), 3)
     with pytest.raises(BadDegree):
         roots_n(G(1), 1)
+
+
+def test_roots_cap():
+    assert len(roots_n(G(1), MAX_ROOTS)) == MAX_ROOTS
+    with pytest.raises(TooLarge, match="^10001 roots exceed the cap of 10000$"):
+        roots_n(G(1), MAX_ROOTS + 1)
 
 
 def test_str_forms():

@@ -10,7 +10,6 @@ from exactmath import (
     cofactor_matrix,
     det,
     inverse,
-    mat_arith,
     matmul,
     minor,
     rank,
@@ -56,13 +55,15 @@ def test_from_string():
 def test_arithmetic():
     a = Matrix([[1, 2], [3, 4]])
     b = Matrix([[5, 6], [7, 8]])
-    assert mat_arith(a, b, "add") == Matrix([[6, 8], [10, 12]])
-    assert mat_arith(b, a, "sub") == Matrix([[4, 4], [4, 4]])
+    assert a + b == Matrix([[6, 8], [10, 12]])
+    assert b - a == Matrix([[4, 4], [4, 4]])
     assert scale(F(1, 2), a) == Matrix([[F(1, 2), 1], [F(3, 2), 2]])
     assert matmul(a, Matrix.identity(2)) == a
     assert transpose(a) == Matrix([[1, 3], [2, 4]])
-    with pytest.raises(ShapeMismatch):
-        mat_arith(a, Matrix([[1, 2, 3]]), "add")
+    with pytest.raises(ShapeMismatch, match="^shapes 2x2 and 1x3 differ$"):
+        a + Matrix([[1, 2, 3]])
+    with pytest.raises(ShapeMismatch, match="^shapes 1x3 and 2x2 differ$"):
+        Matrix([[1, 2, 3]]) - a
     with pytest.raises(ShapeMismatch):
         matmul(a, Matrix([[1, 2, 3]]))
 
