@@ -1,7 +1,7 @@
 """Propositional logic: formula trees, a precedence-climbing parser, truth
 tables, and tautology/contradiction/contingency classification.
 
-Concrete syntax: atoms match [a-z][a-z0-9]*, negation ('!' or '~') binds
+Concrete syntax: atoms match [a-z][a-z0-9]*, negation (``_NEGATION``) binds
 tightest, the binary connectives bind as listed in ``_BINARY``, and
 parentheses override precedence.
 """
@@ -140,7 +140,8 @@ class _Parser:
         return f
 
     def binary(self, level=0) -> Formula:
-        """Operands joined by connectives of `level` or tighter (Pratt)."""
+        """Operands joined by connectives of `level` or tighter (precedence
+        climbing)."""
         f = self.unary()
         while self.peek() in _CONNECTIVE:
             tightness, node = _CONNECTIVE[self.peek()]
