@@ -1,12 +1,13 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactmath.cli import COMMANDS, build_parser, dispatch
+from exactmath.cli import COMMANDS, GROUPS, build_parser, dispatch
 
 GOLDEN = [
     # number theory
@@ -719,6 +720,45 @@ def test_help_lists_all_groups():
     for group in ("nt", "comb", "logic", "set", "rel", "alg",
                   "cx", "mat", "sys", "geo", "mix"):
         assert group in help_text
+
+
+# `--help` of all 63 parsers: the top level, each group and each op.
+# cli_help.json holds what argparse printed with COLUMNS=80 under Python
+# 3.11; argparse's layout differs between Python versions.
+HELP = json.loads(Path(__file__).with_name("cli_help.json").read_text(encoding="utf-8"))
+HELP_PREFIXES = [[], *([group] for group in GROUPS),
+                 *([command.group, command.op] for command in COMMANDS)]
+
+
+@pytest.mark.parametrize("prefix", HELP_PREFIXES, ids=lambda p: " ".join(["exactmath", *p]))
+def test_help_text_is_pinned(prefix, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        dispatch([*prefix, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (HELP[" ".join(["exactmath", *prefix])], "")
+    assert len(HELP_PREFIXES) == len(HELP) == 63
+
+
+USAGE = ("usage: exactmath [-h] [--json]\n"
+         "                 {nt,comb,logic,set,rel,alg,cx,mat,sys,geo,mix} ...\n")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["foo"], USAGE + "exactmath: error: argument group: invalid choice: 'foo' (choose from "
+     "'nt', 'comb', 'logic', 'set', 'rel', 'alg', 'cx', 'mat', 'sys', 'geo', 'mix')\n"),
+    (["mat"], "usage: exactmath mat [-h] {arith,det,adj,inverse,rank,solveq} ...\n"
+     "exactmath mat: error: the following arguments are required: op\n"),
+    (["--json"], USAGE + "exactmath: error: the following arguments are required: group\n"),
+], ids=" ".join)
+def test_usage_error_text(argv, err, capsys, monkeypatch):
+    """A bad group, a missing op and --json alone print argparse's usage
+    error, the same whichever ops the parser was built with."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", err)
 
 
 # -- argv fuzzing ----------------------------------------------------------
