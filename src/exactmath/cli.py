@@ -7,12 +7,17 @@ stable JSON schema with exact rationals as {"num", "den"} pairs under
 2 parse/usage error.  A literal '-' argument is replaced by stdin.
 
 Every subcommand is one entry of COMMANDS; the argument parser and the
-dispatch are both built from that table.
+dispatch are both built from that table.  A run builds the ops of its own
+group only and imports the kernel modules when a handler first uses them,
+so it loads just what its command needs.
 """
 
+from __future__ import annotations
+
 import argparse
+import collections.abc
 import dataclasses
-import json
+import importlib
 import math
 import operator
 import re
@@ -21,24 +26,32 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import (
-    algstruct,
-    arith,
-    combin,
-    complexn,
-    geometry,
-    logic,
-    matrices,
-    parsing,
-    ratio,
-    relations,
-    sets,
-    systems,
-)
 from .errors import KernelError, ParseError
 from .rationals import parse_rational
 
+
+class _Module:
+    """A kernel module, imported when one of its attributes is first read."""
+
+    def __init__(self, name):
+        self._name = f"{__package__}.{name}"
+
+    def __getattr__(self, attribute):
+        return getattr(importlib.import_module(self._name), attribute)
+
+
+(algstruct, arith, combin, complexn, geometry, logic, matrices, parsing, ratio, relations,
+ sets, systems) = map(_Module, ("algstruct", "arith", "combin", "complexn", "geometry", "logic",
+                                "matrices", "parsing", "ratio", "relations", "sets", "systems"))
+
 # -- rendering -------------------------------------------------------------
+
+
+def _instance(obj, module, *types):
+    """isinstance(obj, module.types) without importing module: while it is
+    not loaded, no value of its types exists."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return loaded is not None and isinstance(obj, tuple(getattr(loaded, t) for t in types))
 
 
 def to_jsonable(obj):
@@ -49,22 +62,24 @@ def to_jsonable(obj):
         return {"num": obj.numerator, "den": obj.denominator}
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, matrices.Matrix):
+    if _instance(obj, "matrices", "Matrix"):
         return obj.entries
-    if isinstance(obj, geometry.Vec3):
+    if _instance(obj, "geometry", "Vec3"):
         return obj.components()
-    if isinstance(obj, sets.FinSet):
+    if _instance(obj, "sets", "FinSet"):
         return obj.elements
-    if isinstance(obj, relations.Relation):
+    if _instance(obj, "relations", "Relation"):
         return {"source": obj.source, "target": obj.target,
                 "pairs": sorted(([a, b] for a, b in obj.pairs), key=repr)}
     fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, (systems.Unique, systems.Inconsistent, systems.Parametric)):
+    if _instance(obj, "systems", "Unique", "Inconsistent", "Parametric"):
         fields["kind"] = type(obj).__name__.lower()
     return fields
 
 
 def dump_json(payload) -> str:
+    import json  # only --json runs need it
+
     return json.dumps(payload, default=to_jsonable, sort_keys=True, separators=(",", ":"))
 
 
@@ -240,29 +255,30 @@ def _system(args):
     return parse_system(read_arg(args.system), args.augmented)
 
 
-# geo line/relate/dist: kind -> (parser of part 1, parser of part 2, kernel)
+# geo line/relate/dist: kind -> (parser of part 1, parser of part 2, kernel),
+# named in parsing and geometry
 _GEO = {
     "line": {
-        "points": (parsing.parse_vec3, parsing.parse_vec3, geometry.line_two_points),
-        "planes": (parsing.parse_plane, parsing.parse_plane,
-                   geometry.line_plane_intersection_line),
+        "points": ("parse_vec3", "parse_vec3", "line_two_points"),
+        "planes": ("parse_plane", "parse_plane", "line_plane_intersection_line"),
     },
     "relate": {
-        "planes": (parsing.parse_plane, parsing.parse_plane, geometry.planes_relation),
-        "lines": (parsing.parse_line, parsing.parse_line, geometry.lines_relation),
-        "lineplane": (parsing.parse_line, parsing.parse_plane, geometry.line_plane_relation),
+        "planes": ("parse_plane", "parse_plane", "planes_relation"),
+        "lines": ("parse_line", "parse_line", "lines_relation"),
+        "lineplane": ("parse_line", "parse_plane", "line_plane_relation"),
     },
     "dist": {
-        "pointplane": (parsing.parse_vec3, parsing.parse_plane, geometry.point_plane_distance),
-        "pointline": (parsing.parse_vec3, parsing.parse_line, geometry.point_line_distance),
-        "lines": (parsing.parse_line, parsing.parse_line, geometry.lines_relation),
+        "pointplane": ("parse_vec3", "parse_plane", "point_plane_distance"),
+        "pointline": ("parse_vec3", "parse_line", "point_line_distance"),
+        "lines": ("parse_line", "parse_line", "lines_relation"),
     },
 }
 
 
 def _geo(args):
     first, second, kernel = _GEO[args.op][args.kind]
-    return kernel(first(args.parts[0]), second(args.parts[1]))
+    return getattr(geometry, kernel)(getattr(parsing, first)(args.parts[0]),
+                                     getattr(parsing, second)(args.parts[1]))
 
 
 # -- command handlers ------------------------------------------------------
@@ -513,6 +529,16 @@ def _geo_args(op):
     return arg("kind", choices=list(_GEO[op])), arg("parts", nargs=2)
 
 
+class _SumKinds(collections.abc.Sequence):
+    """comb sum's choices, read from combin when the comb parser is built."""
+
+    def __getitem__(self, index):
+        return combin.sum_kinds()[index]
+
+    def __len__(self):
+        return len(combin.sum_kinds())
+
+
 COMMANDS = (
     Command("nt", "gcd", "greatest common divisor", _A_B_INTS, _gcd),
     Command("nt", "lcm", "least common multiple", _A_B_INTS,
@@ -539,7 +565,7 @@ COMMANDS = (
             lambda a: single("term", combin.binom_term(a.n, a.k, *_binomial(a)),
                              fmt_monomial)),
     Command("comb", "sum", "closed-form sum value",
-            (arg("kind", choices=combin.sum_kinds()), _N),
+            (arg("kind", choices=_SumKinds()), _N),
             lambda a: single("sum", combin.closed_form_sum(a.kind, a.n))),
 
     Command("logic", "table", "truth table", (arg("formula"),),
@@ -657,7 +683,12 @@ COMMANDS = (
 # -- parser and dispatch ---------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given the argv to parse, of the
+    commands in its group: the first token that is not an option.  All
+    group parsers are there either way, so the top-level help and the
+    usage errors read the same."""
+    wanted = GROUPS if argv is None else {next((t for t in argv if not t.startswith("-")), None)}
     parser = argparse.ArgumentParser(
         prog="exactmath",
         description="Exact-arithmetic desk mathematics: number theory, logic, "
@@ -668,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     groups = parser.add_subparsers(dest="group", required=True)
     ops = {group: groups.add_parser(group, help=text).add_subparsers(dest="op", required=True)
            for group, text in GROUPS.items()}
-    for command in COMMANDS:
+    for command in (c for c in COMMANDS if c.group in wanted):
         sub = ops[command.group].add_parser(command.op, help=command.help)
         for names, options in command.args:
             sub.add_argument(*names, **options)
@@ -677,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         text, payload = args.run(args)
     except ParseError as exc:

@@ -70,16 +70,27 @@ def binom_expand(n: int, c1: Fraction, e1: Fraction,
     """Full expansion of (c1*x^e1 + c2*x^e2)^n, n >= 1.
 
     Terms come back sorted by ascending exponent with like exponents merged
-    and zero coefficients dropped.
+    and zero coefficients dropped.  The row C(n, 0..n) comes from the ratio
+    C(n, k+1) = C(n, k)*(n-k)/(k+1), and is checked against MAX_DIGITS, as
+    binom checks it, before any power of c1 or c2 is formed.
     """
     if n < 1:
         raise OutOfDomain(f"expansion requires n >= 1, got {n}")
     if c1 == 0 or c2 == 0:
         raise OutOfDomain("expansion requires nonzero coefficients")
+    half = [1]  # C(n, k) for k = 0..n//2; the row is symmetric
+    for k in range(n // 2):
+        half.append(half[-1] * (n - k) // (k + 1))
+        if half[-1] >= _DIGIT_LIMIT:
+            raise TooLarge(f"binom({n}, {k + 1}) has more than {MAX_DIGITS} digits")
+    p1, q1, p2, q2 = c1.numerator, c1.denominator, c2.numerator, c2.denominator
+    num, den = p1 ** n, q1 ** n  # c1^(n-k) * c2^k = num/den
     merged: dict[Fraction, Fraction] = {}
-    for k in range(n + 1):
-        term = binom_term(n, k, c1, e1, c2, e2)
-        merged[term.exponent] = merged.get(term.exponent, Fraction(0)) + term.coeff
+    for k, count in enumerate(half + half[n - len(half)::-1]):
+        if k:
+            num, den = num // p1 * p2, den // q1 * q2
+        exponent = Fraction(e1 * (n - k) + e2 * k)
+        merged[exponent] = merged.get(exponent, 0) + Fraction(count * num, den)
     return [Monomial(e, c) for e, c in sorted(merged.items()) if c != 0]
 
 

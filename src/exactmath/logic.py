@@ -98,9 +98,10 @@ def _tokenize(text: str):
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", position=pos)
+        if m is None:  # report the character after the whitespace _TOKEN skipped
+            bad = len(text) - len(text[pos:].lstrip())
+            if bad < len(text):
+                raise ParseError(f"unexpected character {text[bad]!r}", position=bad)
             break
         tokens.append((m.group(1), m.start(1)))
         pos = m.end()

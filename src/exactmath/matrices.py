@@ -16,8 +16,13 @@ from .errors import (
     ParseError,
     ShapeMismatch,
     Singular,
+    TooLarge,
 )
 from .rationals import parse_rational
+
+# Laplace expansion takes about n! steps: order 8 runs over a second, and
+# each order above multiplies that by about n.
+MAX_LAPLACE = 8
 
 
 @dataclass(frozen=True)
@@ -215,6 +220,8 @@ def det(a: Matrix, method: str = "elimination") -> Fraction:
     if not a.is_square():
         raise NotSquare(f"determinant of a {a.m}x{a.n} matrix")
     if method == "laplace":
+        if a.n > MAX_LAPLACE:
+            raise TooLarge(f"Laplace expansion of order {a.n} exceeds the cap of {MAX_LAPLACE}")
         return Fraction(_det_laplace(a))
     if method == "elimination":
         return _det_elimination(a)

@@ -1,16 +1,23 @@
 """Literal grammars shared by the CLI: sets, relations, complex numbers in
 a+bi form, points/vectors, planes and lines.  Rational and matrix literals
 live next to their types (rationals.parse_rational, Matrix.from_string).
+Each parser imports the module of its type when it runs, so parsing a set
+does not load geometry and matrices.
 """
 
-import re
+from __future__ import annotations
 
-from .complexn import GaussianRational
+import re
+from typing import TYPE_CHECKING
+
 from .errors import ParseError
-from .geometry import Line, Plane, Vec3
 from .rationals import parse_rational
-from .relations import Relation
-from .sets import FinSet
+
+if TYPE_CHECKING:
+    from .complexn import GaussianRational
+    from .geometry import Line, Plane, Vec3
+    from .relations import Relation
+    from .sets import FinSet
 
 
 def _atom(token: str):
@@ -24,6 +31,8 @@ def _atom(token: str):
 
 def parse_set(text: str) -> FinSet:
     """Parse "{1, 2, 3}" or "{a, b}"; "{}" is the empty set."""
+    from .sets import FinSet
+
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError(f"set literal must be brace-delimited: {text!r}")
@@ -54,6 +63,9 @@ def parse_relation(text: str, source: FinSet | None = None,
                    target: FinSet | None = None) -> Relation:
     """Relation from a pair literal; source/target default to the atoms
     that actually appear."""
+    from .relations import Relation
+    from .sets import FinSet
+
     pairs = parse_pairs(text)
     if source is None:
         source = FinSet(a for a, _ in pairs)
@@ -67,6 +79,8 @@ _TERM_SPLIT = re.compile(r"(?=[+-])")
 
 def parse_complex(text: str) -> GaussianRational:
     """Parse "a+bi" forms: "3+4i", "-i", "2", "1/2-3/4i", "4i"."""
+    from .complexn import GaussianRational
+
     compact = text.replace(" ", "")
     if not compact:
         raise ParseError("empty complex literal")
@@ -91,6 +105,8 @@ def parse_complex(text: str) -> GaussianRational:
 
 def parse_vec3(text: str) -> Vec3:
     """Parse "(x, y, z)"; parentheses optional."""
+    from .geometry import Vec3
+
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
@@ -102,6 +118,8 @@ def parse_vec3(text: str) -> Vec3:
 
 def parse_plane(text: str) -> Plane:
     """Parse "A B C D" (whitespace-separated rational coefficients)."""
+    from .geometry import Plane
+
     parts = text.split()
     if len(parts) != 4:
         raise ParseError(f"a plane literal has 4 coefficients: {text!r}")
@@ -117,6 +135,8 @@ _CANONICAL_PART = re.compile(
 def parse_line(text: str) -> Line:
     """Parse "point=(..) dir=(..)" or the canonical string
     "(x-x0)/l=(y-y0)/m=(z-z0)/n" (zero denominators rejected)."""
+    from .geometry import Line, Vec3
+
     m = _LINE.match(text)
     if m:
         return Line(parse_vec3(m.group(1)), parse_vec3(m.group(2)))

@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import exactmath
 from exactmath.cli import COMMANDS, GROUPS, build_parser, dispatch
 
 GOLDEN = [
@@ -604,6 +608,11 @@ def test_command_golden(argv, text, payload, capsys):
     assert capsys.readouterr().out == payload + "\n"
 
 
+IDENTITY_9 = "; ".join(" ".join("1" if i == j else "0" for j in range(9)) for i in range(9))
+DIAGONAL_12 = "; ".join(" ".join(str(i + 1) if i == j else "0" for j in range(12))
+                        for i in range(12))
+
+
 def test_every_command_and_choice_has_goldens():
     """No command lands without text and --json goldens for each of its
     `choices` values and flags."""
@@ -689,8 +698,11 @@ def test_nonpositive_modulus_is_a_domain_error(argv, err, capsys):
     (["comb", "binom", "20000", "10000"],
      "too large: binom(20000, 10000) has more than 4300 digits"),
     (["cx", "roots", "1", "10001"], "too large: 10001 roots exceed the cap of 10000"),
+    (["mat", "det", "--method", "laplace", "-"],
+     "too large: Laplace expansion of order 9 exceeds the cap of 8"),
 ], ids=" ".join)
-def test_out_of_range_operand_is_a_domain_error(argv, err, capsys):
+def test_out_of_range_operand_is_a_domain_error(argv, err, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(IDENTITY_9))
     assert dispatch(argv) == 1
     assert capsys.readouterr() == ("", err + "\n")
 
@@ -761,11 +773,48 @@ def test_usage_error_text(argv, err, capsys, monkeypatch):
     assert capsys.readouterr() == ("", err)
 
 
+# One argv per group and the kernel modules it may import besides the
+# package, cli, errors and rationals, which every run imports.
+IMPORT_BUDGET = [
+    (["nt", "gcd", "12", "18"], {"arith"}),
+    (["comb", "sum", "odd", "4"], {"combin"}),
+    (["logic", "table", "p & q"], {"logic"}),
+    (["set", "power", "{a,b}"], {"parsing", "sets"}),
+    (["rel", "props", "{(1,1),(1,2),(2,2)}"], {"parsing", "relations", "sets"}),
+    (["alg", "classify", "--addmod", "3"], {"algstruct"}),
+    (["cx", "polar", "1+i"], {"complexn", "parsing"}),
+    (["mat", "det", "1 2; 3 4"], {"matrices"}),
+    (["--json", "sys", "gauss", "1 1; 1 -1 | 2 0"], {"matrices", "systems"}),
+    (["geo", "dist", "pointplane", "(1,2,3)", "1 0 0 0"], {"geometry", "matrices", "parsing"}),
+    (["mix", "split", "10", "1:4"], {"ratio"}),
+]
+
+
+@pytest.mark.parametrize("argv,modules", IMPORT_BUDGET,
+                         ids=[" ".join(argv) for argv, _ in IMPORT_BUDGET])
+def test_a_run_imports_only_the_modules_its_group_uses(argv, modules):
+    """A fresh interpreter runs the argv and lists the exactmath modules it
+    loaded; `mat det` loads exactmath, cli, errors, rationals and matrices."""
+    code = ("import sys\nfrom exactmath.cli import dispatch\ncode = dispatch(sys.argv[1:])\n"
+            "print(code, *sorted(m for m in sys.modules if m.startswith('exactmath')))")
+    src = str(Path(exactmath.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert loaded == ["0", "exactmath", *sorted(f"exactmath.{m}" for m in
+                                                {"cli", "errors", "rationals", *modules})]
+
+
+
 # -- argv fuzzing ----------------------------------------------------------
 
 SMALL_INTS = ["-1", "0", "1", "2", "3", "7", "12", "x", "1/2"]
-# integer operands whose size is capped, so large values end quickly
+# operands whose size is capped, so large values end quickly
 CAPPED_INTS = {
+    ("comb", "expand", "n"): ["4000", "100000", "1000000"],
+    ("mat", "det", "a"): [IDENTITY_9, DIAGONAL_12],
     ("comb", "fact", "n"): ["1500", "1501", "1000000"],
     ("comb", "binom", "n"): ["14000", "20000", "1000000"],
     ("comb", "binom", "k"): ["7000", "10000", "500000"],
@@ -813,9 +862,8 @@ def fuzz_argv(command):
 def test_every_argv_ends_in_an_exit_code(command, data):
     """Any argv of the right shape exits 0, 1 or 2 (argparse's SystemExit(2)
     included), never with a traceback, and prints nothing on stdout when it
-    fails.  Integers stay small except where a cap bounds the work: trial
-    division in `nt factor` and `mat det --method laplace` are still
-    unbounded."""
+    fails.  Operands stay small except where a cap bounds the work: trial
+    division in `nt factor` is still unbounded."""
     argv = data.draw(fuzz_argv(command))
     out = io.StringIO()
     with mock.patch("sys.stdin", io.StringIO("1 2; 3 4")), \

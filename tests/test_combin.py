@@ -35,16 +35,23 @@ def test_factorial_cap():
         factorial(MAX_FACTORIAL + 1)
 
 
-@pytest.mark.parametrize("n", [14300, 20000, 10**6, 10**18])
-def test_binom_cap_is_the_first_result_past_the_digit_limit(n):
-    """Walk k up to the last C(n, k) of at most MAX_DIGITS digits: it is
-    exact, and the next one raises."""
+def first_k_past_the_digit_limit(n):
+    """The least k with C(n, k) of more than MAX_DIGITS digits (k <= n/2)."""
     limit = 10 ** MAX_DIGITS
     # C(n, j) >= 2^j, so C(n, 14300) is past the limit once n >= 28600
     low, high = 0, min(n // 2, 14300)
     while high - low > 1:
         mid = (low + high) // 2
         low, high = (mid, high) if math.comb(n, mid) < limit else (low, mid)
+    return high
+
+
+@pytest.mark.parametrize("n", [14300, 20000, 10**6, 10**18])
+def test_binom_cap_is_the_first_result_past_the_digit_limit(n):
+    """Walk k up to the last C(n, k) of at most MAX_DIGITS digits: it is
+    exact, and the next one raises."""
+    high = first_k_past_the_digit_limit(n)
+    low = high - 1
     assert binom(n, low) == math.comb(n, low)
     assert binom(n, n - low) == math.comb(n, low)
     with pytest.raises(TooLarge, match=rf"^binom\({n}, {high}\) has more than 4300 digits$"):
@@ -94,6 +101,44 @@ def test_expand_evaluates_correctly():
     terms = binom_expand(6, F(1, 2), F(1), F(-2), F(3))
     total = sum(t.coeff * x**t.exponent for t in terms)
     assert total == (x / 2 - 2 * x**3) ** 6
+
+
+def expand_by_terms(n, c1, e1, c2, e2):
+    """Reference expansion: each term from math.comb and two powers."""
+    merged = {}
+    for k in range(n + 1):
+        exponent = F(e1 * (n - k) + e2 * k)
+        merged[exponent] = merged.get(exponent, 0) + math.comb(n, k) * F(c1) ** (n - k) * F(c2) ** k
+    return [Monomial(e, F(c)) for e, c in sorted(merged.items()) if c != 0]
+
+
+@pytest.mark.parametrize("args", [
+    (1, F(1), F(1), F(1), F(0)),
+    (7, F(-2, 3), F(1), F(5), F(-1, 2)),
+    (9, F(1), F(1), F(-1), F(1)),         # (x - x)^9: every term cancels
+    (10, F(3, 4), F(2), F(-4, 9), F(2)),  # like exponents merge into one term
+    (12, F(1), F(1), F(1), F(-2)),
+    (1500, F(-1, 2), F(1), F(3), F(0)),
+], ids=str)
+def test_expand_matches_term_by_term_reference(args):
+    assert binom_expand(*args) == expand_by_terms(*args)
+
+
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@given(st.integers(1, 40), fractions.filter(bool), fractions, fractions.filter(bool), fractions)
+def test_expand_matches_reference_on_random_operands(n, c1, e1, c2, e2):
+    assert binom_expand(n, c1, e1, c2, e2) == expand_by_terms(n, c1, e1, c2, e2)
+
+
+@pytest.mark.parametrize("n", [14300, 20000, 10**6, 10**18])
+def test_expand_cap_is_binoms(n):
+    """binom_expand raises binom's message for the first C(n, k) past the
+    digit limit, whatever the coefficients."""
+    high = first_k_past_the_digit_limit(n)
+    with pytest.raises(TooLarge, match=rf"^binom\({n}, {high}\) has more than 4300 digits$"):
+        binom_expand(n, F(2), F(1), F(-1, 3), F(0))
 
 
 def test_term_fractional_exponents():

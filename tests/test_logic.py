@@ -64,6 +64,8 @@ def test_parse_error_carries_position():
     ("()", "unexpected token ')'", 1),
     ("p & ()", "unexpected token ')'", 5),
     ("p & !", "unexpected end of input", 5),
+    ("p @ q", "unexpected character '@'", 2),
+    ("p &  \t#", "unexpected character '#'", 6),
 ])
 def test_parse_error_message_and_position(text, message, position):
     with pytest.raises(ParseError) as info:

@@ -24,7 +24,9 @@ from exactmath.errors import (
     ParseError,
     ShapeMismatch,
     Singular,
+    TooLarge,
 )
+from exactmath.matrices import MAX_LAPLACE
 from conftest import random_matrix, random_regular
 
 F = Fraction
@@ -86,6 +88,14 @@ def test_det_errors():
         det(Matrix([[1, 2], [3, 4]]), "sarrus3")
     with pytest.raises(BadMethod):
         det(Matrix([[1]]), "qr")
+
+
+def test_laplace_order_cap():
+    assert det(Matrix.identity(MAX_LAPLACE), "laplace") == 1
+    big = Matrix.identity(MAX_LAPLACE + 1)
+    with pytest.raises(TooLarge, match=r"^Laplace expansion of order 9 exceeds the cap of 8$"):
+        det(big, "laplace")
+    assert det(big) == 1
 
 
 def test_three_method_agreement(rng):
