@@ -42,7 +42,7 @@ _EXPORTS = {
              "percent_solve simple_mixture solve_proportion star_scheme",
     "parsing": "parse_complex parse_line parse_pairs parse_plane parse_relation parse_set "
                "parse_vec3",
-    "errors": "",
+    "errors": "",  # the module only
 }
 # public name -> (module, attribute in that module)
 _SOURCES = {name: (module, name) for module, names in _EXPORTS.items() for name in names.split()}

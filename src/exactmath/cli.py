@@ -18,6 +18,7 @@ import argparse
 import collections.abc
 import dataclasses
 import importlib
+import json
 import math
 import operator
 import re
@@ -78,8 +79,6 @@ def to_jsonable(obj):
 
 
 def dump_json(payload) -> str:
-    import json  # only --json runs need it
-
     return json.dumps(payload, default=to_jsonable, sort_keys=True, separators=(",", ":"))
 
 

@@ -608,11 +608,6 @@ def test_command_golden(argv, text, payload, capsys):
     assert capsys.readouterr().out == payload + "\n"
 
 
-IDENTITY_9 = "; ".join(" ".join("1" if i == j else "0" for j in range(9)) for i in range(9))
-DIAGONAL_12 = "; ".join(" ".join(str(i + 1) if i == j else "0" for j in range(12))
-                        for i in range(12))
-
-
 def test_every_command_and_choice_has_goldens():
     """No command lands without text and --json goldens for each of its
     `choices` values and flags."""
@@ -798,7 +793,8 @@ def test_a_run_imports_only_the_modules_its_group_uses(argv, modules):
     code = ("import sys\nfrom exactmath.cli import dispatch\ncode = dispatch(sys.argv[1:])\n"
             "print(code, *sorted(m for m in sys.modules if m.startswith('exactmath')))")
     src = str(Path(exactmath.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -807,10 +803,12 @@ def test_a_run_imports_only_the_modules_its_group_uses(argv, modules):
                                                 {"cli", "errors", "rationals", *modules})]
 
 
-
 # -- argv fuzzing ----------------------------------------------------------
 
 SMALL_INTS = ["-1", "0", "1", "2", "3", "7", "12", "x", "1/2"]
+IDENTITY_9 = "; ".join(" ".join("1" if i == j else "0" for j in range(9)) for i in range(9))
+DIAGONAL_12 = "; ".join(" ".join(str(i + 1) if i == j else "0" for j in range(12))
+                        for i in range(12))
 # operands whose size is capped, so large values end quickly
 CAPPED_INTS = {
     ("comb", "expand", "n"): ["4000", "100000", "1000000"],
