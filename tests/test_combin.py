@@ -108,7 +108,8 @@ def expand_by_terms(n, c1, e1, c2, e2):
     merged = {}
     for k in range(n + 1):
         exponent = F(e1 * (n - k) + e2 * k)
-        merged[exponent] = merged.get(exponent, 0) + math.comb(n, k) * F(c1) ** (n - k) * F(c2) ** k
+        term = math.comb(n, k) * F(c1) ** (n - k) * F(c2) ** k
+        merged[exponent] = merged.get(exponent, 0) + term
     return [Monomial(e, F(c)) for e, c in sorted(merged.items()) if c != 0]
 
 
