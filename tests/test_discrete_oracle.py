@@ -1,6 +1,7 @@
 """Differential tests for the whole-table discrete kernels: bit-parallel
-truth columns, indexed Cayley-table law checks, the doubling power set and
-Miller-Rabin primality, each checked against a plain one-row/one-lookup
+truth columns, indexed Cayley-table law checks, the doubling power set,
+relation properties, composition and function flags, and Miller-Rabin
+primality, each checked against a plain one-row/one-lookup or pair-of-pairs
 reference written here or against sympy."""
 
 from itertools import product
@@ -11,11 +12,16 @@ from hypothesis import given, settings, strategies as st
 from exactmath import (
     FinSet,
     Magma,
+    Relation,
     StructureClass,
     check_distributive,
     classify_structure,
+    equivalence_analysis,
+    fn_analysis,
     inverses,
     powerset,
+    rel_compose,
+    rel_properties,
 )
 from exactmath.arith import is_prime
 from exactmath.errors import CarrierMismatch, TooManyAtoms
@@ -241,6 +247,94 @@ def test_powerset_matches_bitmask_definition(elements):
     assert [s.elements for s in subsets] == [s.elements for s in want]
     assert [hash(s) for s in subsets] == [hash(s) for s in want]
     assert all(type(s) is FinSet for s in subsets)
+
+
+# -- relations -------------------------------------------------------------------
+
+def carriers(max_size=6):
+    return st.integers(0, max_size).map(lambda n: FinSet(range(n)))
+
+
+@st.composite
+def relations(draw, source=None, target=None):
+    """A relation between two carriers of at most 6 elements: any pair set,
+    or one that also holds the pairs of a random partition of the source, so
+    that equivalences and functions are drawn often."""
+    source = draw(carriers()) if source is None else source
+    target = draw(carriers()) if target is None else target
+    all_pairs = [(a, b) for a in source for b in target]
+    pairs = set(draw(st.lists(st.sampled_from(all_pairs), max_size=20))) if all_pairs else set()
+    shape = draw(st.sampled_from(["any", "partition", "function"]))
+    if shape == "partition" and source == target:
+        label = {a: draw(st.integers(0, 2)) for a in source}
+        pairs = {(a, b) for a in source for b in source if label[a] == label[b]}
+    elif shape == "function" and len(target):
+        pairs = {(a, draw(st.sampled_from(target.elements))) for a in source}
+    return Relation(source, target, pairs)
+
+
+endorelations = carriers().flatmap(lambda a: relations(a, a))
+
+
+def reference_properties(rel):
+    """The five flags by their definitions, over single pairs and pairs of
+    pairs."""
+    pairs = rel.pairs
+    return {
+        "reflexive": all((a, a) in pairs for a in rel.source),
+        "antireflexive": all((a, a) not in pairs for a in rel.source),
+        "symmetric": all((b, a) in pairs for a, b in pairs),
+        "antisymmetric": all(a == b for a, b in pairs for c, d in pairs
+                             if (c, d) == (b, a)),
+        "transitive": all((a, d) in pairs for a, b in pairs for c, d in pairs if b == c),
+    }
+
+
+@settings(max_examples=400)
+@given(endorelations)
+def test_rel_properties_match_pair_definitions(rel):
+    assert rel_properties(rel) == reference_properties(rel)
+
+
+@settings(max_examples=300)
+@given(endorelations)
+def test_equivalence_classes_match_the_partition(rel):
+    flags = reference_properties(rel)
+    is_equivalence = flags["reflexive"] and flags["symmetric"] and flags["transitive"]
+    classes = []
+    for a in rel.source:  # the class of each element not yet covered
+        if not any(a in c for c in classes):
+            classes.append(FinSet(b for x, b in rel.pairs if x == a))
+    analysis = equivalence_analysis(rel)
+    assert analysis["is_equivalence"] is is_equivalence
+    assert analysis["classes"] == analysis["quotient"] == (classes if is_equivalence else [])
+
+
+@st.composite
+def composable(draw):
+    a, b, c = draw(carriers()), draw(carriers()), draw(carriers())
+    return draw(relations(a, b)), draw(relations(b, c))
+
+
+@settings(max_examples=400)
+@given(composable())
+def test_rel_compose_matches_pair_definition(pair):
+    first, second = pair
+    want = {(a, c) for a, x in first.pairs for y, c in second.pairs if x == y}
+    assert rel_compose(first, second) == Relation(first.source, second.target, want)
+
+
+@settings(max_examples=400)
+@given(relations())
+def test_fn_analysis_matches_definitions(rel):
+    images = {a: {b for x, b in rel.pairs if x == a} for a in rel.source}
+    is_function = all(len(bs) == 1 for bs in images.values())
+    values = [b for bs in images.values() for b in bs]
+    injective = is_function and len(set(values)) == len(values)
+    surjective = is_function and set(values) == set(rel.target)
+    assert fn_analysis(rel) == {"is_function": is_function, "injective": injective,
+                                "surjective": surjective,
+                                "bijective": injective and surjective}
 
 
 # -- primality -------------------------------------------------------------------

@@ -342,6 +342,38 @@ def test_planes_relation_identical_and_parallel():
     assert shifted["intersection"] is None
 
 
+def proportional(p1, p2):
+    """(A2, B2, C2, D2) = k (A1, B1, C1, D1) for some k != 0."""
+    row1, row2 = (p1.a, p1.b, p1.c, p1.d), (p2.a, p2.b, p2.c, p2.d)
+    k = next(y / x for x, y in zip(row1, row2) if x != 0)
+    return k != 0 and all(y == k * x for x, y in zip(row1, row2))
+
+
+def test_planes_relation_identical_is_proportionality(rng):
+    """Planes with many zero coefficients, against scalings by positive
+    and negative rationals, scalings with one coefficient changed, and
+    random planes."""
+    counts = {True: 0, False: 0}
+    for _ in range(600):
+        row = [rng.choice([0, 0, 1, -1, 2, F(-3, 2), 5]) for _ in range(4)]
+        if row[:3] == [0, 0, 0]:
+            continue
+        k = F(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5))
+        other = [k * x for x in row]
+        shape = rng.choice(["scaled", "changed", "random"])
+        if shape == "changed":
+            other[rng.randrange(4)] += rng.choice([-1, 1, F(1, 2)])
+        elif shape == "random":
+            other = [rng.choice([0, 1, -1, 2, F(1, 3)]) for _ in range(4)]
+        if other[:3] == [0, 0, 0]:
+            continue
+        p1, p2 = Plane(*row), Plane(*other)
+        identical = planes_relation(p1, p2)["identical"]
+        assert identical is proportional(p1, p2), (p1, p2)
+        counts[identical] += 1
+    assert min(counts.values()) > 50
+
+
 def test_lines_relation_skew_fixture():
     l1 = line_point_dir(Vec3(1, -2, 5), Vec3(2, 1, -1))
     l2 = line_point_dir(Vec3(-3, 3, 0), Vec3(1, 2, -3))
