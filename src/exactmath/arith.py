@@ -13,8 +13,10 @@ from .errors import (
     NegativeValue,
     NonPositiveDivisor,
     OutOfDomain,
+    TooLarge,
     ZeroDivisorQuery,
 )
+from .rationals import DIGIT_LIMIT, MAX_DIGITS
 
 
 def divmod_euclid(a: int, b: int) -> tuple[int, int]:
@@ -163,8 +165,12 @@ def to_base(n: int, b: int) -> Digits:
 
 
 def from_base(d: Digits) -> int:
-    """Evaluate a_k*b^k + ... + a_1*b + a_0."""
+    """Evaluate a_k*b^k + ... + a_1*b + a_0, a value of at most MAX_DIGITS
+    decimal digits."""
     value = 0
     for digit in d.coeffs:
         value = value * d.base + digit
+    if value >= DIGIT_LIMIT:
+        raise TooLarge(f"{len(d.coeffs)} base-{d.base} digits give more than "
+                       f"{MAX_DIGITS} decimal digits")
     return value

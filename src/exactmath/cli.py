@@ -4,7 +4,8 @@ Subcommand tree: nt, comb, logic, set, rel, alg, cx, mat, sys, geo, mix.
 Results go to stdout (plain text mirroring the usual written notation, or a
 stable JSON schema with exact rationals as {"num", "den"} pairs under
 --json); diagnostics go to stderr.  Exit codes: 0 success, 1 domain error,
-2 parse/usage error.  A literal '-' argument is replaced by stdin.
+2 parse/usage error.  A literal '-' operand, integers excepted, is replaced
+by stdin.
 
 Every subcommand is one entry of COMMANDS; the argument parser and the
 dispatch are both built from that table.  A run builds the ops of its own
@@ -94,15 +95,6 @@ def fmt_list(values) -> str:
     return ", ".join(fmt(v) for v in values)
 
 
-def fmt_monomial(m: combin.Monomial) -> str:
-    coeff = str(m.coeff)
-    if m.exponent == 0:
-        return coeff
-    exp = str(m.exponent) if m.exponent.denominator == 1 else f"({m.exponent})"
-    x = "x" if exp == "1" else f"x^{exp}"
-    return x if coeff == "1" else f"{coeff}*{x}"
-
-
 def fmt_polar(p: complexn.Polar) -> str:
     degrees = math.degrees(p.theta)
     return f"r = {p.r:.10g}, theta = {p.theta:.10g} rad ({degrees:.10g} deg)"
@@ -158,7 +150,11 @@ def fmt_position(kind: str, result) -> str:
 # -- input helpers ---------------------------------------------------------
 
 
-def read_arg(value: str) -> str:
+def read_stdin(value):
+    """The value, with stdin in place of a literal '-' (or of each '-' in
+    a list)."""
+    if isinstance(value, list):
+        return [read_stdin(v) for v in value]
     return sys.stdin.read() if value == "-" else value
 
 
@@ -205,8 +201,7 @@ def parse_magma(args) -> algstruct.Magma:
         return algstruct.mod_mul_table(args.mulmod)
     if not args.table:
         raise ParseError("give a table (or --addmod/--mulmod N)")
-    text = read_arg(args.table)
-    lines = [line.split() for line in text.splitlines() if line.strip()]
+    lines = [line.split() for line in args.table.splitlines() if line.strip()]
     if len(lines) < 2:
         raise ParseError("table input: carrier line, then |S| rows")
     carrier = tuple(lines[0])
@@ -231,27 +226,27 @@ def _opt_rat(value):
 
 
 def _formula(text):
-    return logic.parse_formula(read_arg(text))
+    return logic.parse_formula(text)
 
 
 def _set(text):
-    return parsing.parse_set(read_arg(text))
+    return parsing.parse_set(text)
 
 
 def _relation(text):
-    return parsing.parse_relation(read_arg(text))
+    return parsing.parse_relation(text)
 
 
 def _complex(text):
-    return parsing.parse_complex(read_arg(text))
+    return parsing.parse_complex(text)
 
 
 def _matrix(text):
-    return matrices.Matrix.from_string(read_arg(text))
+    return matrices.Matrix.from_string(text)
 
 
 def _system(args):
-    return parse_system(read_arg(args.system), args.augmented)
+    return parse_system(args.system, args.augmented)
 
 
 # geo line/relate/dist: kind -> (parser of part 1, parser of part 2, kernel),
@@ -345,7 +340,7 @@ def _venn3(args):
 
 def _endorelation(args):
     on = parsing.parse_set(args.on) if args.on else None
-    return parsing.parse_relation(read_arg(args.relation), source=on, target=on)
+    return parsing.parse_relation(args.relation, source=on, target=on)
 
 
 def _rel_props(args):
@@ -427,7 +422,7 @@ def _sys_classify(args):
 
 
 def _vec(args):
-    a, b = parsing.parse_vec3(read_arg(args.a)), parsing.parse_vec3(read_arg(args.b))
+    a, b = parsing.parse_vec3(args.a), parsing.parse_vec3(args.b)
     payload = {"dot": geometry.dot(a, b), "cross": geometry.cross(a, b),
                "norm_a": geometry.norm(a), "norm_b": geometry.norm(b)}
     lines = [f"dot = {fmt(payload['dot'])}", f"cross = {payload['cross']}",
@@ -557,12 +552,10 @@ COMMANDS = (
             lambda a: single("binom", combin.binom(a.n, a.k))),
     Command("comb", "expand", "expansion of (c1*x^e1 + c2*x^e2)^n", (_N, *_BINOMIAL),
             lambda a: single("terms", combin.binom_expand(a.n, *_binomial(a)),
-                             lambda terms: " + ".join(map(fmt_monomial, terms))
-                             .replace("+ -", "- "))),
+                             lambda terms: " + ".join(map(str, terms)).replace("+ -", "- "))),
     Command("comb", "term", "term k (0-based) of a binomial power",
             (_N, arg("k", type=int), *_BINOMIAL),
-            lambda a: single("term", combin.binom_term(a.n, a.k, *_binomial(a)),
-                             fmt_monomial)),
+            lambda a: single("term", combin.binom_term(a.n, a.k, *_binomial(a)))),
     Command("comb", "sum", "closed-form sum value",
             (arg("kind", choices=_SumKinds()), _N),
             lambda a: single("sum", combin.closed_form_sum(a.kind, a.n))),
@@ -708,6 +701,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 def dispatch(argv) -> int:
     args = build_parser(argv).parse_args(argv)
+    for name, value in list(vars(args).items()):  # in argument order
+        setattr(args, name, read_stdin(value))
     try:
         text, payload = args.run(args)
     except ParseError as exc:

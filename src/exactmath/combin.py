@@ -7,12 +7,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OutOfDomain, TooLarge, UnknownKind
+from .rationals import DIGIT_LIMIT, MAX_DIGITS
 
-# Results are printed in decimal, and Python refuses to convert an int of
-# more than 4300 digits to str; 1558! is the largest factorial below that.
+# 1558! is the largest factorial of at most MAX_DIGITS digits.
 MAX_FACTORIAL = 1500
-MAX_DIGITS = 4300
-_DIGIT_LIMIT = 10 ** MAX_DIGITS
 
 
 def factorial(n: int) -> int:
@@ -39,7 +37,7 @@ def binom(n: int, k: int) -> int:
     result = 1
     for i in range(min(k, n - k)):
         result = result * (n - i) // (i + 1)
-        if result >= _DIGIT_LIMIT:
+        if result >= DIGIT_LIMIT:
             raise TooLarge(f"binom({n}, {k}) has more than {MAX_DIGITS} digits")
     return result
 
@@ -52,7 +50,13 @@ class Monomial:
     coeff: Fraction
 
     def __str__(self):
-        return f"{self.coeff}*x^{self.exponent}"
+        """81, x, 216*x, 16*x^4, 495*x^(20/3)."""
+        coeff = str(self.coeff)
+        if self.exponent == 0:
+            return coeff
+        exp = str(self.exponent) if self.exponent.denominator == 1 else f"({self.exponent})"
+        x = "x" if exp == "1" else f"x^{exp}"
+        return x if coeff == "1" else f"{coeff}*{x}"
 
 
 def binom_term(n: int, k: int, c1: Fraction, e1: Fraction,
@@ -81,7 +85,7 @@ def binom_expand(n: int, c1: Fraction, e1: Fraction,
     half = [1]  # C(n, k) for k = 0..n//2; the row is symmetric
     for k in range(n // 2):
         half.append(half[-1] * (n - k) // (k + 1))
-        if half[-1] >= _DIGIT_LIMIT:
+        if half[-1] >= DIGIT_LIMIT:
             raise TooLarge(f"binom({n}, {k + 1}) has more than {MAX_DIGITS} digits")
     p1, q1, p2, q2 = c1.numerator, c1.denominator, c2.numerator, c2.denominator
     num, den = p1 ** n, q1 ** n  # c1^(n-k) * c2^k = num/den

@@ -21,7 +21,6 @@ from .errors import (
     ZeroCoefficient,
     ZeroVector,
 )
-from .matrices import Matrix, det
 
 
 @dataclass(frozen=True)
@@ -78,12 +77,26 @@ def norm(a: Vec3) -> float:
     return math.sqrt(norm_sq(a))
 
 
+def _cosine(a: Vec3, b: Vec3) -> float:
+    return dot(a, b) / (norm(a) * norm(b))
+
+
+def _acos(cosine: float) -> float:
+    """acos of a cosine that rounding may have pushed just past [-1, 1]."""
+    return math.acos(max(-1.0, min(1.0, cosine)))
+
+
+def _acute_angle(a: Vec3, b: Vec3) -> float:
+    """Angle between the lines (or planes) that a and b are directions
+    (or normals) of, in [0, pi/2]."""
+    return _acos(abs(_cosine(a, b)))
+
+
 def angle(a: Vec3, b: Vec3) -> float:
     """Angle between two nonzero vectors, in [0, pi]."""
     if a.is_zero() or b.is_zero():
         raise ZeroVector("angles with the null vector are undefined")
-    cosine = dot(a, b) / (norm(a) * norm(b))
-    return math.acos(max(-1.0, min(1.0, cosine)))
+    return _acos(_cosine(a, b))
 
 
 def proj_scalar(a: Vec3, b: Vec3) -> float:
@@ -275,10 +288,14 @@ def plane_parametric(plane: Plane) -> tuple:
     return point, u_dir, v_dir
 
 
+def _distance(d_sq: Fraction) -> dict:
+    """An exact squared distance and its root."""
+    return {"d": math.sqrt(d_sq), "d_sq": d_sq}
+
+
 def point_plane_distance(point: Vec3, plane: Plane) -> dict:
     """Exact squared distance (Ax+By+Cz+D)^2/(A^2+B^2+C^2) and its root."""
-    d_sq = plane.value_at(point) ** 2 / norm_sq(plane.normal())
-    return {"d": math.sqrt(d_sq), "d_sq": d_sq}
+    return _distance(plane.value_at(point) ** 2 / norm_sq(plane.normal()))
 
 
 # -- lines -----------------------------------------------------------------
@@ -345,9 +362,7 @@ def line_parametric(line: Line):
 
 def point_line_distance(point: Vec3, line: Line) -> dict:
     """d^2 = |a x M1M2|^2 / |a|^2, exact."""
-    offset = point - line.point
-    d_sq = norm_sq(cross(line.dir, offset)) / norm_sq(line.dir)
-    return {"d": math.sqrt(d_sq), "d_sq": d_sq}
+    return _distance(norm_sq(cross(line.dir, point - line.point)) / norm_sq(line.dir))
 
 
 # -- mutual positions ------------------------------------------------------
@@ -357,18 +372,12 @@ def planes_relation(p1: Plane, p2: Plane) -> dict:
     and the intersection line when the planes meet."""
     n1, n2 = p1.normal(), p2.normal()
     parallel = collinear(n1, n2)
-    identical = False
-    if parallel:
-        # same plane iff the coefficient rows (A B C D) are proportional
-        scale_on = next(c for c in "abc" if getattr(p2, c) != 0 or getattr(p1, c) != 0)
-        c1, c2 = getattr(p1, scale_on), getattr(p2, scale_on)
-        identical = c1 != 0 and c2 != 0 and p1.d * c2 == p2.d * c1
-    cosine = abs(dot(n1, n2)) / (norm(n1) * norm(n2))
     return {
-        "angle": math.acos(max(-1.0, min(1.0, cosine))),
+        "angle": _acute_angle(n1, n2),
         "parallel": parallel,
         "perpendicular": dot(n1, n2) == 0,
-        "identical": identical,
+        # proportional coefficient rows have the same canonical form
+        "identical": p1.normalized() == p2.normalized(),
         "intersection": None if parallel else line_plane_intersection_line(p1, p2),
     }
 
@@ -385,23 +394,20 @@ def lines_relation(l1: Line, l2: Line) -> dict:
             result.update(point_line_distance(l2.point, l1))
         return result
     offset = l2.point - l1.point
-    if mixed(l1.dir, l2.dir, offset) == 0:
+    volume = mixed(l1.dir, l2.dir, offset)
+    if volume == 0:
         # coplanar and non-parallel: p1 + t*a1 = p2 + s*a2, so t*a1 + s*(-a2) = p2 - p1
         result["kind"] = "intersecting"
         result["point"] = l1.at(decompose(offset, (l1.dir, -l2.dir))[0])
         return result
-    d_sq = (mixed(l1.dir, l2.dir, offset) ** 2
-            / norm_sq(cross(l1.dir, l2.dir)))
     result["kind"] = "skew"
-    result["d"] = math.sqrt(d_sq)
-    result["d_sq"] = d_sq
+    result.update(_distance(volume ** 2 / norm_sq(cross(l1.dir, l2.dir))))
     return result
 
 
 def angle_between_lines(l1: Line, l2: Line) -> float:
     """Acute angle between the direction vectors."""
-    cosine = abs(dot(l1.dir, l2.dir)) / (norm(l1.dir) * norm(l2.dir))
-    return math.acos(max(-1.0, min(1.0, cosine)))
+    return _acute_angle(l1.dir, l2.dir)
 
 
 def line_plane_relation(line: Line, plane: Plane) -> dict:
@@ -442,8 +448,3 @@ def triangle_metrics(p1: Vec3, p2: Vec3, p3: Vec3) -> dict:
         "perimeter": sum(norm(v) for v in sides.values()),
         "area": triangle_area(p1, p2, p3),
     }
-
-
-def mixed_as_det(a: Vec3, b: Vec3, c: Vec3) -> Fraction:
-    """The triple product computed through the matrix kernel (oracle)."""
-    return det(Matrix([a.components(), b.components(), c.components()]))

@@ -48,33 +48,32 @@ class Not(Formula):
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class _Binary(Formula):
+    """A connective of two operands.  The dataclass __eq__ also compares
+    classes, so And(p, q) != Or(p, q)."""
+
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    """left & right"""
 
 
-@dataclass(frozen=True)
-class Xor(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    """left | right"""
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Xor(_Binary):
+    """left ^ right"""
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary):
+    """left -> right"""
+
+
+class Iff(_Binary):
+    """left <-> right"""
 
 
 class Classification(Enum):

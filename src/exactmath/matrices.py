@@ -179,18 +179,15 @@ def _det_laplace(a: Matrix) -> Fraction:
         return a[0, 0]
     if n == 2:
         return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    # expand along the line with the most zeros (rows win ties, row 1 first)
-    best_row = max(range(n), key=lambda i: sum(x == 0 for x in a.row(i)))
-    best_col = max(range(n), key=lambda j: sum(x == 0 for x in a.col(j)))
-    if sum(x == 0 for x in a.col(best_col)) > sum(x == 0 for x in a.row(best_row)):
-        return sum(
-            (-1) ** (i + best_col) * a[i, best_col] * _det_laplace(_submatrix(a, i, best_col))
-            for i in range(n) if a[i, best_col] != 0
-        ) or Fraction(0)
-    return sum(
-        (-1) ** (best_row + j) * a[best_row, j] * _det_laplace(_submatrix(a, best_row, j))
-        for j in range(n) if a[best_row, j] != 0
-    ) or Fraction(0)
+    # expand along the line with the most zeros (rows win ties, row 1 first);
+    # a column of a is a row of its transpose, which has the same det
+    best_row = max(range(n), key=lambda i: a.row(i).count(0))
+    best_col = max(range(n), key=lambda j: a.col(j).count(0))
+    if a.col(best_col).count(0) > a.row(best_row).count(0):
+        a, best_row = transpose(a), best_col
+    # an empty sum (a zero row) is the int 0, which det makes a Fraction
+    return sum((-1) ** (best_row + j) * a[best_row, j] * _det_laplace(_submatrix(a, best_row, j))
+               for j in range(n) if a[best_row, j] != 0)
 
 
 def _det_elimination(a: Matrix) -> Fraction:

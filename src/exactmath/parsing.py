@@ -11,7 +11,7 @@ import re
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
-from .rationals import parse_rational
+from .rationals import literal_int, parse_rational
 
 if TYPE_CHECKING:
     from .complexn import GaussianRational
@@ -23,7 +23,7 @@ if TYPE_CHECKING:
 def _atom(token: str):
     token = token.strip()
     if re.fullmatch(r"[+-]?\d+", token):
-        return int(token)
+        return literal_int(token)
     if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", token):
         return token
     raise ParseError(f"not a set atom: {token!r}")

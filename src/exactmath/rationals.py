@@ -11,11 +11,17 @@ Finite decimals convert exactly ("2.4" -> 12/5); anything else is a
 """
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import DivisionByZero, ParseError
 
 Rational = Fraction
+
+# Python refuses to convert an int of more than 4300 digits to or from str,
+# so a result that is printed in decimal stays below DIGIT_LIMIT.
+MAX_DIGITS = 4300
+DIGIT_LIMIT = 10 ** MAX_DIGITS
 
 _LITERAL = re.compile(
     r"""^\s*
@@ -30,6 +36,16 @@ _LITERAL = re.compile(
 )
 
 
+def literal_int(digits: str) -> int:
+    """int(digits) for a string of decimal digits, optionally signed; one
+    past Python's int/str digit limit is a ParseError, not a ValueError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"a literal of {len(digits.lstrip('+-'))} digits exceeds the "
+                         f"limit of {sys.get_int_max_str_digits()}") from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal: "5", "-3/4", "2.4", ".5"."""
     m = _LITERAL.match(text)
@@ -37,16 +53,16 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"not a rational literal: {text!r}")
     sign = -1 if m.group("sign") == "-" else 1
     if m.group("num") is not None:
-        den = int(m.group("den"))
+        den = literal_int(m.group("den"))
         if den == 0:
             raise DivisionByZero(f"zero denominator in {text!r}")
-        return Fraction(sign * int(m.group("num")), den)
+        return Fraction(sign * literal_int(m.group("num")), den)
     if m.group("onlyfrac") is not None:
         frac = m.group("onlyfrac")
-        return sign * Fraction(int(frac), 10 ** len(frac))
-    value = Fraction(int(m.group("int")))
+        return sign * Fraction(literal_int(frac), 10 ** len(frac))
+    value = Fraction(literal_int(m.group("int")))
     if m.group("frac"):
         frac = m.group("frac")
-        value += Fraction(int(frac), 10 ** len(frac))
+        value += Fraction(literal_int(frac), 10 ** len(frac))
     return sign * value
 

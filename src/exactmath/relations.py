@@ -56,13 +56,17 @@ def rel_compose(first: Relation, second: Relation) -> Relation:
     if first.target != second.source:
         raise DomainMismatch("target of the first relation must equal the "
                              "source of the second")
-    pairs = {
-        (a, c)
-        for a, x in first.pairs
-        for y, c in second.pairs
-        if x == y
-    }
-    return Relation(first.source, second.target, pairs)
+    succ = _successors(second)
+    return Relation(first.source, second.target,
+                    {(a, c) for a, x in first.pairs for c in succ[x]})
+
+
+def _successors(rel: Relation) -> dict:
+    """a -> {b : (a, b) in rel} for every a in the source."""
+    succ = {a: set() for a in rel.source}
+    for a, b in rel.pairs:
+        succ[a].add(b)
+    return succ
 
 
 def rel_section(rel: Relation, a) -> FinSet:
@@ -72,22 +76,18 @@ def rel_section(rel: Relation, a) -> FinSet:
 
 def rel_properties(rel: Relation) -> dict[str, bool]:
     """Reflexivity, antireflexivity, symmetry, antisymmetry, transitivity
-    by exhaustive enumeration (endorelations only)."""
+    (endorelations only)."""
     if not rel.is_endorelation():
         raise NotEndorelation("properties are defined on relations A -> A")
-    carrier = rel.source.elements
+    succ = _successors(rel)
     pairs = rel.pairs
     return {
-        "reflexive": all((a, a) in pairs for a in carrier),
-        "antireflexive": all((a, a) not in pairs for a in carrier),
+        "reflexive": all(a in succ[a] for a in succ),
+        "antireflexive": all(a not in succ[a] for a in succ),
         "symmetric": all((b, a) in pairs for a, b in pairs),
         "antisymmetric": all(a == b for a, b in pairs if (b, a) in pairs),
-        "transitive": all(
-            (a, d) in pairs
-            for a, b in pairs
-            for c, d in pairs
-            if b == c
-        ),
+        # (a, b) and (b, c) give (a, c): every successor of b is one of a
+        "transitive": all(succ[b] <= succ[a] for a, b in pairs),
     }
 
 
@@ -131,12 +131,12 @@ def fn_analysis(rel: Relation) -> dict[str, bool]:
     The three classification flags are False when the relation is not a
     function at all.
     """
-    images = {a: [b for x, b in rel.pairs if x == a] for a in rel.source}
+    images = _successors(rel)
     is_function = all(len(imgs) == 1 for imgs in images.values())
     if not is_function:
         return {"is_function": False, "injective": False,
                 "surjective": False, "bijective": False}
-    values = [imgs[0] for imgs in images.values()]
+    values = [b for imgs in images.values() for b in imgs]
     injective = len(set(values)) == len(values)
     surjective = set(values) == set(rel.target.elements)
     return {

@@ -3,6 +3,7 @@ operations, power set, Cartesian product, and the three-set counting
 (inclusion-exclusion) solver.
 """
 
+import operator
 from dataclasses import dataclass
 
 from .errors import InconsistentCounts, MixedAtoms, NotASubset, TooLarge, UnknownKind
@@ -51,18 +52,15 @@ class FinSet:
         return "{" + ", ".join(str(e) for e in self.elements) + "}"
 
 
+_SET_OPS = {"union": operator.or_, "intersect": operator.and_, "diff": operator.sub,
+            "symdiff": operator.xor}
+
+
 def set_ops(a: FinSet, b: FinSet, op: str) -> FinSet:
     """union / intersect / diff / symdiff of two sets."""
-    x, y = set(a.elements), set(b.elements)
-    if op == "union":
-        return FinSet(x | y)
-    if op == "intersect":
-        return FinSet(x & y)
-    if op == "diff":
-        return FinSet(x - y)
-    if op == "symdiff":
-        return FinSet(x ^ y)
-    raise UnknownKind(f"unknown set op {op!r}")
+    if op not in _SET_OPS:
+        raise UnknownKind(f"unknown set op {op!r}")
+    return FinSet(_SET_OPS[op](set(a.elements), set(b.elements)))
 
 
 def complement(a: FinSet, universe: FinSet) -> FinSet:

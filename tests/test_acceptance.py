@@ -72,7 +72,6 @@ from exactmath.errors import Singular
 from exactmath.geometry import (
     line_plane_intersection_line,
     line_point_dir,
-    mixed_as_det,
 )
 from exactmath.matrices import Matrix as M
 from conftest import random_matrix, random_regular
@@ -346,7 +345,7 @@ def test_criterion_10_property_suites():
             u = Vec3(*(rng.randint(-9, 9) for _ in range(3)))
             v = Vec3(*(rng.randint(-9, 9) for _ in range(3)))
             w = Vec3(*(rng.randint(-9, 9) for _ in range(3)))
-            assert mixed(u, v, w) == mixed_as_det(u, v, w)
+            assert mixed(u, v, w) == det(M([u.components(), v.components(), w.components()]))
             c = cross(u, v)
             assert dot(c, u) == 0 and dot(c, v) == 0
             assert cross(v, u) == -c

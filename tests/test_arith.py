@@ -20,6 +20,7 @@ from exactmath.errors import (
     NegativeValue,
     NonPositiveDivisor,
     OutOfDomain,
+    TooLarge,
     ZeroArgument,
     ZeroDivisorQuery,
 )
@@ -147,3 +148,11 @@ def test_base_errors():
         Digits(2, (2, 0))
     with pytest.raises(BadBase):
         Digits(8, (0, 3))
+
+
+def test_from_base_stays_printable():
+    """A value of more than 4300 decimal digits cannot be printed."""
+    assert from_base(Digits(10, (9,) * 4300)) == 10 ** 4300 - 1
+    assert from_base(Digits(2, (1,) * 5000)) == 2 ** 5000 - 1
+    with pytest.raises(TooLarge, match="4301 base-10 digits give more than 4300"):
+        from_base(Digits(10, (1,) + (0,) * 4300))

@@ -653,6 +653,24 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+HUGE = "1" * 5000  # past Python's 4300-digit int/str conversion limit
+TOO_LONG = "parse error: a literal of 5000 digits exceeds the limit of 4300\n"
+# argvs whose parse error is pinned in full
+PARSE_ERRORS = {
+    ("cx", "arith", "add", "1", HUGE): TOO_LONG,
+    ("set", "power", "{" + HUGE + "}"): TOO_LONG,
+    ("mix", "split", HUGE, "1:2"): TOO_LONG,
+    ("geo", "vec", f"(1,{HUGE},2)", "(1,0,0)"): TOO_LONG,
+    ("rel", "props", f"{{(1,{HUGE})}}"): TOO_LONG,
+}
+
+
+def argv_id(argv):
+    """The argv joined by spaces, with a token over 40 characters given by
+    its length."""
+    return " ".join(t if len(t) <= 40 else f"<{len(t)} characters>" for t in argv)
+
+
 @pytest.mark.parametrize("argv", [
     ["mat", "arith", "scale", "1 2; 3 4"],
     ["mat", "arith", "add", "1 2; 3 4"],
@@ -663,12 +681,23 @@ def test_parse_error_exit_code(capsys):
     ["geo", "plane", "normal", "(1,2,3)"],
     ["nt", "frombase", "zz", "16"],
     ["mat", "det", "1 2; 3"],
-], ids=" ".join)
+    *map(list, PARSE_ERRORS),
+], ids=argv_id)
 def test_missing_or_malformed_operand_is_a_parse_error(argv, capsys):
     assert dispatch(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("parse error: ")
+    assert captured.err == PARSE_ERRORS.get(tuple(argv), captured.err)
+
+
+def test_a_result_past_the_digit_limit_is_a_domain_error(capsys):
+    """Python cannot print the value of 5000 base-12 digits in decimal."""
+    assert dispatch(["nt", "frombase", HUGE, "12"]) == 1
+    assert capsys.readouterr() == (
+        "", "too large: 5000 base-12 digits give more than 4300 decimal digits\n")
+    assert dispatch(["nt", "frombase", HUGE, "2"]) == 0
+    assert capsys.readouterr().out == str(int(HUGE, 2)) + "\n"
 
 
 @pytest.mark.parametrize("argv,err", [
@@ -712,6 +741,31 @@ def test_stdin_placeholder(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("2 -3; 0 1"))
     assert dispatch(["mat", "det", "-"]) == 0
     assert capsys.readouterr().out == "2\n"
+
+
+# argv, stdin, stdout: '-' in a geometry part, a plane point, an option, the
+# second matrix operand, a mixture total and a proportion member
+STDIN_CASES = [
+    (["geo", "dist", "pointplane", "-", "1 0 0 0"], "(3,4,5)", "d = 3 (d^2 = 9)\n"),
+    (["geo", "plane", "three", "-", "(-2,0,4)", "(2,3,-1)"], "(1,1,1)",
+     "4x + 3y + 5z - 12 = 0\n"),
+    (["geo", "relate", "lines", "-", "point=(0,0,0) dir=(1,0,0)"],
+     "point=(1,1,0) dir=(0,1,0)", "kind: intersecting\nangle = 1.570796327\npoint: (1, 0, 0)\n"),
+    (["rel", "props", "{(1,1),(2,2)}", "--on", "-"], "{1,2,3}",
+     "reflexive: false\nantireflexive: false\nsymmetric: true\nantisymmetric: true\n"
+     "transitive: true\nequivalence: false\npartial_order: false\n"),
+    (["mat", "arith", "scale", "1 2; 3 4", "-"], "-1/2", "-1/2 -1\n-3/2 -2\n"),
+    (["mix", "split", "-", "1:4"], "10\n", "2, 8\n"),
+    (["mix", "prop", "-", "2", "x", "3"], "x+1", "-3\n"),
+]
+
+
+@pytest.mark.parametrize("argv,stdin,out", STDIN_CASES,
+                         ids=[" ".join(argv) for argv, _, _ in STDIN_CASES])
+def test_stdin_placeholder_in_every_literal_operand(argv, stdin, out, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert dispatch(argv) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 def test_cayley_from_table_text(capsys):
@@ -780,7 +834,7 @@ IMPORT_BUDGET = [
     (["cx", "polar", "1+i"], {"complexn", "parsing"}),
     (["mat", "det", "1 2; 3 4"], {"matrices"}),
     (["--json", "sys", "gauss", "1 1; 1 -1 | 2 0"], {"matrices", "systems"}),
-    (["geo", "dist", "pointplane", "(1,2,3)", "1 0 0 0"], {"geometry", "matrices", "parsing"}),
+    (["geo", "dist", "pointplane", "(1,2,3)", "1 0 0 0"], {"geometry", "parsing"}),
     (["mix", "split", "10", "1:4"], {"ratio"}),
 ]
 
@@ -830,6 +884,7 @@ TOKENS = [
     "point=(0,0,0) dir=(1,0,0)", "(x-1)/3 = (y-2)/-2 = (z-3)/1", "point=(1,1,1) dir=(0,0,0)",
     "1 2; 3 4", "3 2 -1; 1 2 4; 0 6 -2", "1 2 3", "1 2; 3", "0 0; 0 0", "1 1; 1 -1 | 2 0",
     "1 1 2; 1 1 3", "1 2 |", "p & !q", "p -> (q -> p)", "p &", "e a\ne a\na e", "a b\na c\nb b",
+    HUGE,
 ]
 ARITY = {None: (1, 1), "?": (0, 1), "+": (1, 3), "*": (0, 3)}
 

@@ -23,6 +23,14 @@ def test_parse_rejects(bad):
         parse_rational(bad)
 
 
+def test_literal_past_the_int_digit_limit_is_a_parse_error():
+    """int() refuses more than 4300 digits; the sign does not count."""
+    assert parse_rational("-" + "9" * 4300) == -(10 ** 4300 - 1)
+    for text in ("1" * 4301, "1/" + "3" * 4301, "0." + "5" * 4301, "-" + "7" * 5000):
+        with pytest.raises(ParseError, match="exceeds the limit of 4300"):
+            parse_rational(text)
+
+
 @given(rationals)
 def test_format_parse_round_trip(q):
     # str(Fraction) is the output format everywhere; it must parse back
