@@ -166,11 +166,11 @@ def to_base(n: int, b: int) -> Digits:
 
 def from_base(d: Digits) -> int:
     """Evaluate a_k*b^k + ... + a_1*b + a_0, a value of at most MAX_DIGITS
-    decimal digits."""
+    decimal digits; a longer digit string stops as soon as it passes them."""
     value = 0
     for digit in d.coeffs:
         value = value * d.base + digit
-    if value >= DIGIT_LIMIT:
-        raise TooLarge(f"{len(d.coeffs)} base-{d.base} digits give more than "
-                       f"{MAX_DIGITS} decimal digits")
+        if value >= DIGIT_LIMIT:
+            raise TooLarge(f"{len(d.coeffs)} base-{d.base} digits give more than "
+                           f"{MAX_DIGITS} decimal digits")
     return value

@@ -46,6 +46,14 @@ def from_predicate(source: FinSet, target: FinSet, predicate) -> Relation:
     )
 
 
+def _successors(rel: Relation) -> dict:
+    """a -> {b : (a, b) in rel} for every a in the source."""
+    succ = {a: set() for a in rel.source}
+    for a, b in rel.pairs:
+        succ[a].add(b)
+    return succ
+
+
 def rel_inverse(rel: Relation) -> Relation:
     return Relation(rel.target, rel.source, ((b, a) for a, b in rel.pairs))
 
@@ -59,14 +67,6 @@ def rel_compose(first: Relation, second: Relation) -> Relation:
     succ = _successors(second)
     return Relation(first.source, second.target,
                     {(a, c) for a, x in first.pairs for c in succ[x]})
-
-
-def _successors(rel: Relation) -> dict:
-    """a -> {b : (a, b) in rel} for every a in the source."""
-    succ = {a: set() for a in rel.source}
-    for a, b in rel.pairs:
-        succ[a].add(b)
-    return succ
 
 
 def rel_section(rel: Relation, a) -> FinSet:

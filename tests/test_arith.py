@@ -156,3 +156,6 @@ def test_from_base_stays_printable():
     assert from_base(Digits(2, (1,) * 5000)) == 2 ** 5000 - 1
     with pytest.raises(TooLarge, match="4301 base-10 digits give more than 4300"):
         from_base(Digits(10, (1,) + (0,) * 4300))
+    # stops at the limit instead of building a million-digit value
+    with pytest.raises(TooLarge, match="1000000 base-12 digits"):
+        from_base(Digits(12, (1,) * 10 ** 6))
