@@ -662,6 +662,16 @@ PARSE_ERRORS = {
     ("mix", "split", HUGE, "1:2"): TOO_LONG,
     ("geo", "vec", f"(1,{HUGE},2)", "(1,0,0)"): TOO_LONG,
     ("rel", "props", f"{{(1,{HUGE})}}"): TOO_LONG,
+    ("alg", "classify"): "parse error: give a table (or --addmod/--mulmod N)\n",
+    ("alg", "cayley", "e a"): "parse error: table input: carrier line, then |S| rows\n",
+    ("alg", "cayley", "e a\ne a"): "parse error: table shape must match the carrier\n",
+    ("sys", "gauss", "1 2; 3 4"): "parse error: system input is 'A | b' (or use --augmented)\n",
+    ("sys", "classify", "1; 2", "--augmented"):
+        "parse error: an augmented matrix needs at least 2 columns\n",
+    ("mix", "prop", " ", "2", "x", "3"): "parse error: empty proportion member\n",
+    ("mix", "percent", "--i", "30", "--p", "3x%"): "parse error: not a rational literal: '3x'\n",
+    ("cx", "polar", "i+2i"): "parse error: two imaginary parts in 'i+2i'\n",
+    ("cx", "arith", "add", "1+2", "i"): "parse error: two real parts in '1+2'\n",
 }
 
 

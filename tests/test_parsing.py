@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from exactmath import (
     FinSet,
@@ -68,6 +69,11 @@ def test_parse_relation_explicit_sets():
 ])
 def test_parse_complex(text, expected):
     assert parse_complex(text) == expected
+
+
+@given(st.builds(GaussianRational, st.fractions(), st.fractions()))
+def test_parse_complex_round_trips_str(z):
+    assert parse_complex(str(z)) == z
 
 
 @pytest.mark.parametrize("bad", ["", "1+2", "i+i", "3+4j", "1+2+3i"])
