@@ -9,7 +9,7 @@ text's row/column convention.
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import CarrierMismatch, OutOfDomain, TooLarge
+from .errors import CarrierMismatch, OutOfDomain, ParseError, TooLarge
 
 MAX_CARRIER = 64
 
@@ -38,6 +38,18 @@ class Magma:
             raise CarrierMismatch("carrier elements must be distinct")
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise CarrierMismatch("table shape must match the carrier")
+
+    @staticmethod
+    def from_string(text: str) -> "Magma":
+        """Parse a carrier line, then one row of the table per carrier
+        element; entries are split on whitespace."""
+        lines = [line.split() for line in text.splitlines() if line.strip()]
+        if len(lines) < 2:
+            raise ParseError("table input: carrier line, then |S| rows")
+        carrier, rows = tuple(lines[0]), lines[1:]
+        if len(rows) != len(carrier) or any(len(row) != len(carrier) for row in rows):
+            raise ParseError("table shape must match the carrier")
+        return Magma(carrier, tuple(map(tuple, rows)))
 
     @property
     def closed(self) -> bool:

@@ -10,7 +10,11 @@ by stdin.
 Every subcommand is one entry of COMMANDS; the argument parser and the
 dispatch are both built from that table.  A run builds the ops of its own
 group only and imports the kernel modules when a handler first uses them,
-so it loads just what its command needs.
+so it loads just what its command needs.  The grammar of each literal lives
+with its type (Matrix.from_string, LinearSystem.from_string,
+Magma.from_string, the parsing and ratio parsers), and sums are printed by
+rationals.signed_sum; the handlers here only pick the parser for each
+operand and lay out the result.
 """
 
 from __future__ import annotations
@@ -22,14 +26,13 @@ import importlib
 import json
 import math
 import operator
-import re
 import sys
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import KernelError, ParseError
-from .rationals import parse_rational
+from .rationals import parse_rational, signed_sum
 
 
 class _Module:
@@ -100,33 +103,16 @@ def fmt_polar(p: complexn.Polar) -> str:
     return f"r = {p.r:.10g}, theta = {p.theta:.10g} rad ({degrees:.10g} deg)"
 
 
-def fmt_affine_combo(constant: Fraction, coeffs, names) -> str:
-    """Render c + sum(a_i * name_i) the way the text writes solutions."""
-    parts = []
-    for coeff, name in zip(coeffs, names):
-        if coeff == 0:
-            continue
-        sign = "-" if coeff < 0 else ("+" if parts else "")
-        size = abs(coeff)
-        body = name if size == 1 else f"{size}*{name}"
-        parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
-    if constant != 0 or not parts:
-        parts.append(f"+ {constant}" if parts and constant > 0 else
-                     (f"- {-constant}" if parts else str(constant)))
-    return " ".join(parts)
-
-
 def fmt_solution(solution) -> str:
     if isinstance(solution, systems.Inconsistent):
         return "inconsistent"
     if isinstance(solution, systems.Unique):
         return ", ".join(f"x{i + 1} = {v}"
                          for i, v in enumerate(solution.values))
-    names = [f"t{i + 1}" for i in range(len(solution.directions))]
     lines = []
-    for i, base in enumerate(solution.particular):
-        coeffs = [d[i] for d in solution.directions]
-        lines.append(f"x{i + 1} = {fmt_affine_combo(base, coeffs, names)}")
+    for i, base in enumerate(solution.particular):  # x_i = sum of d_i * t_j, then base
+        terms = [(d[i], f"t{j + 1}") for j, d in enumerate(solution.directions)]
+        lines.append(f"x{i + 1} = {signed_sum([*terms, (base, '')], '*')}")
     lines.append("free columns: " + ", ".join(str(c + 1) for c in solution.free_cols))
     return "\n".join(lines)
 
@@ -158,42 +144,6 @@ def read_stdin(value):
     return sys.stdin.read() if value == "-" else value
 
 
-def parse_system(text: str, augmented: bool) -> systems.LinearSystem:
-    if augmented:
-        aug = matrices.Matrix.from_string(text)
-        if aug.n < 2:
-            raise ParseError("an augmented matrix needs at least 2 columns")
-        a = matrices.Matrix([row[:-1] for row in aug.entries])
-        return systems.LinearSystem(a, [row[-1] for row in aug.entries])
-    if "|" not in text:
-        raise ParseError("system input is 'A | b' (or use --augmented)")
-    left, right = text.split("|", 1)
-    a = matrices.Matrix.from_string(left)
-    b = [parse_rational(tok) for tok in right.split()]
-    return systems.LinearSystem(a, b)
-
-
-def parse_affine(text: str) -> ratio.Affine:
-    """Parse "x", "x+9", "2x-3", "5" (in the unknown x)."""
-    compact = text.replace(" ", "")
-    slope = Fraction(0)
-    intercept = Fraction(0)
-    if not compact:
-        raise ParseError("empty proportion member")
-    for term in (t for t in re.split(r"(?=[+-])", compact) if t):
-        if term.endswith("x"):
-            body = term[:-1]
-            if body in ("", "+"):
-                slope += 1
-            elif body == "-":
-                slope -= 1
-            else:
-                slope += parse_rational(body)
-        else:
-            intercept += parse_rational(term)
-    return ratio.Affine(slope, intercept)
-
-
 def parse_magma(args) -> algstruct.Magma:
     if args.addmod is not None:
         return algstruct.mod_add_table(args.addmod)
@@ -201,28 +151,11 @@ def parse_magma(args) -> algstruct.Magma:
         return algstruct.mod_mul_table(args.mulmod)
     if not args.table:
         raise ParseError("give a table (or --addmod/--mulmod N)")
-    lines = [line.split() for line in args.table.splitlines() if line.strip()]
-    if len(lines) < 2:
-        raise ParseError("table input: carrier line, then |S| rows")
-    carrier = tuple(lines[0])
-    rows = lines[1:]
-    if len(rows) != len(carrier) or any(len(r) != len(carrier) for r in rows):
-        raise ParseError("table shape must match the carrier")
-    return algstruct.Magma(carrier, tuple(tuple(r) for r in rows))
-
-
-def _percent(text: str) -> Fraction:
-    """Rational with optional '%' (no-op scale) or per-mille suffix."""
-    text = text.strip()
-    if text.endswith("‰"):
-        return parse_rational(text[:-1]) / 10
-    if text.endswith("%"):
-        return parse_rational(text[:-1])
-    return parse_rational(text)
+    return algstruct.Magma.from_string(args.table)
 
 
 def _opt_rat(value):
-    return None if value is None else _percent(value)
+    return None if value is None else ratio.parse_percent(value)
 
 
 def _formula(text):
@@ -246,7 +179,7 @@ def _matrix(text):
 
 
 def _system(args):
-    return parse_system(args.system, args.augmented)
+    return systems.LinearSystem.from_string(args.system, args.augmented)
 
 
 # geo line/relate/dist: kind -> (parser of part 1, parser of part 2, kernel),
@@ -471,8 +404,8 @@ def _dist(args):
 
 def _mix_simple(args):
     result = ratio.simple_mixture(
-        _percent(args.s1), _percent(args.s2),
-        _percent(args.target), parse_rational(args.total))
+        ratio.parse_percent(args.s1), ratio.parse_percent(args.s2),
+        ratio.parse_percent(args.target), parse_rational(args.total))
     text = fmt_list(result.amounts)
     return text + (" (degenerate: any split works)" if result.degenerate else ""), result
 
@@ -645,8 +578,8 @@ COMMANDS = (
     Command("mix", "prop", "solve lhs1:lhs2 = rhs1:rhs2 for x",
             (arg("parts", nargs=4, metavar="MEMBER"),),
             lambda a: single("x", ratio.solve_proportion(
-                parse_affine(a.parts[0]), parse_rational(a.parts[1]),
-                parse_affine(a.parts[2]), parse_rational(a.parts[3])))),
+                ratio.parse_affine(a.parts[0]), parse_rational(a.parts[1]),
+                ratio.parse_affine(a.parts[2]), parse_rational(a.parts[3])))),
     Command("mix", "split", "split a total in a given ratio",
             (arg("total"), arg("weights", help="w1:w2:...")),
             lambda a: single("parts", ratio.extended_split(
@@ -661,14 +594,14 @@ COMMANDS = (
              arg("deltas", nargs="*", help="signed percents, e.g. -10 +15")),
             lambda a: single("value", ratio.percent_chain(
                 start=_opt_rat(a.start), final=_opt_rat(a.final),
-                deltas=[_percent(d) for d in a.deltas]))),
+                deltas=[ratio.parse_percent(d) for d in a.deltas]))),
     Command("mix", "simple", "two-component mixture",
             (arg("s1"), arg("s2"), arg("target"), arg("total")), _mix_simple),
     Command("mix", "star", "star-scheme alligation",
             (arg("target"), arg("total"), arg("values", nargs="+")),
             lambda a: single("amounts", ratio.star_scheme(
-                [_percent(v) for v in a.values], _percent(a.target), parse_rational(a.total)),
-                fmt_list)),
+                [ratio.parse_percent(v) for v in a.values], ratio.parse_percent(a.target),
+                parse_rational(a.total)), fmt_list)),
 )
 
 

@@ -21,6 +21,7 @@ from .errors import (
     ZeroCoefficient,
     ZeroVector,
 )
+from .rationals import signed_sum
 
 
 @dataclass(frozen=True)
@@ -216,15 +217,7 @@ class Plane:
         return self.value_at(p) == 0
 
     def __str__(self):
-        parts = []
-        for coeff, var in ((self.a, "x"), (self.b, "y"), (self.c, "z"), (self.d, "")):
-            if coeff == 0:
-                continue
-            sign = "-" if coeff < 0 else ("+" if parts else "")
-            size = abs(coeff)
-            body = f"{size}{var}" if (size != 1 or not var) else var
-            parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
-        return " ".join(parts) + " = 0"
+        return signed_sum(((self.a, "x"), (self.b, "y"), (self.c, "z"), (self.d, ""))) + " = 0"
 
 
 @dataclass(frozen=True)

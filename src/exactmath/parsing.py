@@ -1,8 +1,10 @@
-"""Literal grammars shared by the CLI: sets, relations, complex numbers in
-a+bi form, points/vectors, planes and lines.  Rational and matrix literals
-live next to their types (rationals.parse_rational, Matrix.from_string).
-Each parser imports the module of its type when it runs, so parsing a set
-does not load geometry and matrices.
+"""Literal grammars of sets, relations, complex numbers in a+bi form,
+points/vectors, planes and lines.  The other literals live next to their
+types: rationals (rationals.parse_rational), matrices (Matrix.from_string),
+linear systems (LinearSystem.from_string), Cayley tables
+(Magma.from_string), proportion members and percents (ratio.parse_affine,
+ratio.parse_percent).  Each parser here imports the module of its type when
+it runs, so parsing a set does not load geometry and matrices.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import re
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
-from .rationals import literal_int, parse_rational
+from .rationals import literal_int, parse_rational, signed_terms
 
 if TYPE_CHECKING:
     from .complexn import GaussianRational
@@ -29,14 +31,19 @@ def _atom(token: str):
     raise ParseError(f"not a set atom: {token!r}")
 
 
+def _braced(text: str, kind: str) -> str:
+    """What a brace-delimited literal holds, stripped."""
+    text = text.strip()
+    if not (text.startswith("{") and text.endswith("}")):
+        raise ParseError(f"{kind} literal must be brace-delimited: {text!r}")
+    return text[1:-1].strip()
+
+
 def parse_set(text: str) -> FinSet:
     """Parse "{1, 2, 3}" or "{a, b}"; "{}" is the empty set."""
     from .sets import FinSet
 
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError(f"set literal must be brace-delimited: {text!r}")
-    body = text[1:-1].strip()
+    body = _braced(text, "set")
     if not body:
         return FinSet()
     return FinSet(_atom(token) for token in body.split(","))
@@ -47,15 +54,12 @@ _PAIR = re.compile(r"\(\s*([^,()]+)\s*,\s*([^,()]+)\s*\)")
 
 def parse_pairs(text: str) -> list[tuple]:
     """Parse "{(1,2),(2,3)}" into a pair list."""
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError(f"relation literal must be brace-delimited: {text!r}")
-    body = text[1:-1].strip()
+    body = _braced(text, "relation")
     if not body:
         return []
-    pairs = [( _atom(m.group(1)), _atom(m.group(2)) ) for m in _PAIR.finditer(body)]
+    pairs = [(_atom(m.group(1)), _atom(m.group(2))) for m in _PAIR.finditer(body)]
     if not pairs:
-        raise ParseError(f"no pairs found in {text!r}")
+        raise ParseError(f"no pairs found in {text.strip()!r}")
     return pairs
 
 
@@ -74,33 +78,19 @@ def parse_relation(text: str, source: FinSet | None = None,
     return Relation(source, target, pairs)
 
 
-_TERM_SPLIT = re.compile(r"(?=[+-])")
-
-
 def parse_complex(text: str) -> GaussianRational:
     """Parse "a+bi" forms: "3+4i", "-i", "2", "1/2-3/4i", "4i"."""
     from .complexn import GaussianRational
 
-    compact = text.replace(" ", "")
-    if not compact:
+    terms = signed_terms(text, "i")
+    if not terms:
         raise ParseError("empty complex literal")
-    real = imag = None
-    for term in (t for t in _TERM_SPLIT.split(compact) if t):
-        if term.endswith("i"):
-            if imag is not None:
-                raise ParseError(f"two imaginary parts in {text!r}")
-            body = term[:-1]
-            if body in ("", "+"):
-                imag = parse_rational("1")
-            elif body == "-":
-                imag = parse_rational("-1")
-            else:
-                imag = parse_rational(body)
-        else:
-            if real is not None:
-                raise ParseError(f"two real parts in {text!r}")
-            real = parse_rational(term)
-    return GaussianRational(real or 0, imag or 0)
+    parts = {}  # imaginary? -> coefficient
+    for imaginary, coeff in terms:
+        if imaginary in parts:
+            raise ParseError(f"two {'imaginary' if imaginary else 'real'} parts in {text!r}")
+        parts[imaginary] = parse_rational(coeff)
+    return GaussianRational(parts.get(False, 0), parts.get(True, 0))
 
 
 def parse_vec3(text: str) -> Vec3:

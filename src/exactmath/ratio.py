@@ -1,5 +1,6 @@
 """Proportions, extended proportions, percent problems, and mixture
-(alligation) calculations including the multi-component star scheme.
+(alligation) calculations including the multi-component star scheme, with
+the literals of a proportion member ("2x-3") and of a percent ("32%").
 
 All computation is exact in rationals; display rounding is the caller's
 business.
@@ -14,11 +15,13 @@ from .errors import (
     Degenerate,
     NonPositive,
     NoSolution,
+    ParseError,
     TargetCollision,
     UnbalancedSides,
     Unsolvable,
     WrongArity,
 )
+from .rationals import parse_rational, signed_terms
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,25 @@ class Affine:
     @staticmethod
     def const(c) -> "Affine":
         return Affine(0, c)
+
+
+def parse_affine(text: str) -> Affine:
+    """Parse "x", "x+9", "2x-3", "5" (in the unknown x)."""
+    terms = signed_terms(text, "x")
+    if not terms:
+        raise ParseError("empty proportion member")
+    parts = {True: Fraction(0), False: Fraction(0)}  # has x? -> summed coefficient
+    for has_x, coeff in terms:
+        parts[has_x] += parse_rational(coeff)
+    return Affine(parts[True], parts[False])
+
+
+def parse_percent(text: str) -> Fraction:
+    """Rational with optional '%' (no-op scale) or per-mille suffix."""
+    text = text.strip()
+    if text.endswith("‰"):
+        return parse_rational(text[:-1]) / 10
+    return parse_rational(text.removesuffix("%"))
 
 
 def solve_proportion(lhs1: Affine, lhs2, rhs1: Affine, rhs2) -> Fraction:

@@ -1,4 +1,5 @@
-"""Exact rational scalars and their shared literal grammar.
+"""Exact rational scalars, their shared literal grammar and the signed-sum
+notation built on them.
 
 The kernel-wide scalar is :class:`fractions.Fraction` (re-exported as
 ``Rational``): always normalized, denominator positive, arbitrary precision.
@@ -7,7 +8,9 @@ The literal grammar accepted everywhere is
     integer | "p/q" | finite decimal
 
 Finite decimals convert exactly ("2.4" -> 12/5); anything else is a
-:class:`~exactmath.errors.ParseError`.
+:class:`~exactmath.errors.ParseError`.  A signed sum of such coefficients
+("2x - 3", "1/2-3/4i", "x1 = 2*t1 + 1") is split by signed_terms and
+printed by signed_sum.
 """
 
 import re
@@ -66,3 +69,30 @@ def parse_rational(text: str) -> Fraction:
         value += Fraction(literal_int(frac), 10 ** len(frac))
     return sign * value
 
+
+_TERM_START = re.compile(r"(?=[+-])")
+
+
+def signed_terms(text: str, symbol: str) -> list[tuple[bool, str]]:
+    """The terms of a signed sum such as "1/2-3/4i" or "2x - 3", spaces
+    ignored: (whether the term ends in symbol, its coefficient as a rational
+    literal).  A bare symbol has the coefficient "1", "+1" or "-1"."""
+    terms = [(term.endswith(symbol), term.removesuffix(symbol))
+             for term in _TERM_START.split(text.replace(" ", "")) if term]
+    return [(has, body + "1" if has and body in ("", "+", "-") else body) for has, body in terms]
+
+
+def signed_sum(terms, times: str = "") -> str:
+    """Print (coefficient, name) terms as the text writes a sum: zero terms
+    left out, a coefficient of size 1 left off, later terms joined by " + "
+    or " - ", and "0" for no term at all.  An empty name marks the
+    constant; times goes between a coefficient and its name."""
+    parts = []
+    for coeff, name in terms:
+        if coeff == 0:
+            continue
+        size = abs(coeff)
+        body = str(size) if not name else name if size == 1 else f"{size}{times}{name}"
+        sign = "-" if coeff < 0 else "+" if parts else ""
+        parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
+    return " ".join(parts) or "0"

@@ -9,8 +9,9 @@ parameters t1, t2, ...; any instantiation satisfies the system exactly.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotSquare, ShapeMismatch, Singular, SingularSystem
+from .errors import NotSquare, ParseError, ShapeMismatch, Singular, SingularSystem
 from .matrices import Matrix, _forward, _reduce, det, inverse, matmul
+from .rationals import parse_rational
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,21 @@ class LinearSystem:
             raise ShapeMismatch(f"{a.m} equations but {len(b)} right-hand sides")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    @staticmethod
+    def from_string(text: str, augmented: bool = False) -> "LinearSystem":
+        """Parse "A | b" ("1 1; 1 -1 | 2 0"), or with augmented one matrix
+        whose last column is b ("1 1 2; 1 -1 0")."""
+        if augmented:
+            aug = Matrix.from_string(text)
+            if aug.n < 2:
+                raise ParseError("an augmented matrix needs at least 2 columns")
+            return LinearSystem(Matrix([row[:-1] for row in aug.entries]),
+                                [row[-1] for row in aug.entries])
+        if "|" not in text:
+            raise ParseError("system input is 'A | b' (or use --augmented)")
+        left, right = text.split("|", 1)
+        return LinearSystem(Matrix.from_string(left), [parse_rational(t) for t in right.split()])
 
     def augmented(self) -> Matrix:
         return Matrix([

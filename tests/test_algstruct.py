@@ -13,7 +13,7 @@ from exactmath import (
     mod_add_table,
     mod_mul_table,
 )
-from exactmath.errors import CarrierMismatch, OutOfDomain, TooLarge
+from exactmath.errors import CarrierMismatch, OutOfDomain, ParseError, TooLarge
 
 
 def test_magma_shape_checks():
@@ -23,6 +23,15 @@ def test_magma_shape_checks():
         Magma((1, 2), ((1, 2),))
     with pytest.raises(TooLarge):
         cayley_table(range(65), lambda a, b: a)
+
+
+def test_from_string_reads_the_carrier_then_the_rows():
+    assert Magma.from_string("e a\n\ne a\na e\n") == Magma(("e", "a"), (("e", "a"), ("a", "e")))
+    for bad in ("e a", "e a\ne a", "e a\ne a\na"):
+        with pytest.raises(ParseError):
+            Magma.from_string(bad)
+    with pytest.raises(CarrierMismatch):
+        Magma.from_string("e e\ne e\ne e")
 
 
 def test_closed_flag():

@@ -21,11 +21,13 @@ from exactmath.errors import (
     Degenerate,
     NonPositive,
     NoSolution,
+    ParseError,
     TargetCollision,
     UnbalancedSides,
     Unsolvable,
     WrongArity,
 )
+from exactmath.ratio import parse_affine, parse_percent
 
 F = Fraction
 
@@ -35,6 +37,18 @@ F = Fraction
 def test_proportion_fixture():
     # (x+9) : 6 = x : 5 -> x = 45
     assert solve_proportion(Affine(1, 9), 6, Affine.x(), 5) == 45
+
+
+def test_parse_affine_and_percent():
+    assert parse_affine("x+9") == Affine(1, 9)
+    assert parse_affine("2x - 3 + x") == Affine(3, -3)
+    assert parse_affine("-x") == Affine(-1)
+    assert parse_affine("5") == Affine.const(5)
+    with pytest.raises(ParseError, match="empty proportion member"):
+        parse_affine(" ")
+    assert parse_percent(" 32% ") == 32
+    assert parse_percent("5‰") == F(1, 2)
+    assert parse_percent("1/3") == F(1, 3)
 
 
 def test_proportion_plain_fourth():

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from exactmath import parse_rational
 from exactmath.errors import DivisionByZero, ParseError
+from exactmath.rationals import signed_sum, signed_terms
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -41,3 +42,17 @@ def test_format_integers_plain():
     assert str(Fraction(6, 3)) == "2"
     assert str(Fraction(-5, 6)) == "-5/6"
 
+
+
+def test_signed_terms_split_a_sum_into_coefficients():
+    assert signed_terms("2x - 3/4 + x", "x") == [(True, "2"), (False, "-3/4"), (True, "+1")]
+    assert signed_terms("-i+.5", "i") == [(True, "-1"), (False, "+.5")]
+    assert signed_terms(" ", "i") == []
+
+
+def test_signed_sum_writes_the_sum_as_the_text_does():
+    F = Fraction
+    assert signed_sum([(F(4), "x"), (F(-1), "y"), (F(0), "z"), (F(-12), "")]) == "4x - y - 12"
+    assert signed_sum([(F(-1, 2), "t1"), (F(1), "t2"), (F(3), "")], "*") == "-1/2*t1 + t2 + 3"
+    assert signed_sum([(F(0), "t1"), (F(0), "")], "*") == "0"
+    assert signed_sum([(F(-5, 3), "")]) == "-5/3"
