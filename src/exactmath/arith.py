@@ -5,6 +5,7 @@ representation in bases 2..16.
 All integers are Python ints (unbounded), so nothing here ever overflows.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -14,6 +15,7 @@ from .errors import (
     NonPositiveDivisor,
     OutOfDomain,
     TooLarge,
+    ZeroArgument,
     ZeroDivisorQuery,
 )
 from .rationals import DIGIT_LIMIT, MAX_DIGITS
@@ -56,14 +58,24 @@ def gcd(a: int, b: int) -> tuple[int, list[tuple[int, int, int, int]]]:
     return x, trace
 
 
-def lcm(a: int, b: int) -> int:
-    """Least common multiple of two nonzero integers."""
-    from .errors import ZeroArgument
+def _decimal_digits(n: int) -> int:
+    """The number of decimal digits of n != 0, also past the int/str limit."""
+    digits = abs(n).bit_length() * 3 // 10  # 3/10 < log10(2): not past the count
+    while abs(n) >= 10 ** digits:
+        digits += 1
+    return digits
 
+
+def lcm(a: int, b: int) -> int:
+    """Least common multiple of two nonzero integers.  One of more than
+    MAX_DIGITS digits cannot be printed in decimal and raises TooLarge."""
     if a == 0 or b == 0:
         raise ZeroArgument("lcm requires nonzero arguments")
-    g, _ = gcd(a, b)
-    return abs(a * b) // g
+    result = abs(a // math.gcd(a, b) * b)
+    if result >= DIGIT_LIMIT:
+        raise TooLarge(f"lcm of integers of {_decimal_digits(a)} and {_decimal_digits(b)} "
+                       f"digits has more than {MAX_DIGITS} digits")
+    return result
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

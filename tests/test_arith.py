@@ -92,6 +92,17 @@ def test_lcm():
         lcm(0, 5)
 
 
+def test_lcm_stays_printable():
+    """An lcm of more than 4300 decimal digits cannot be printed."""
+    assert lcm(10 ** 4299, 9) == 9 * 10 ** 4299
+    with pytest.raises(TooLarge,
+                       match="^lcm of integers of 4300 and 2 digits has more than 4300 digits$"):
+        lcm(10 ** 4299, 11)
+    # an operand past the int/str limit is counted without str()
+    with pytest.raises(TooLarge, match="^lcm of integers of 5001 and 1 digits "):
+        lcm(-10 ** 5000, 3)
+
+
 @given(st.integers(1, 10**4), st.integers(1, 10**4))
 def test_gcd_lcm_product(a, b):
     assert gcd(a, b)[0] * lcm(a, b) == a * b

@@ -654,6 +654,7 @@ def test_parse_error_exit_code(capsys):
 
 
 HUGE = "1" * 5000  # past Python's 4300-digit int/str conversion limit
+LCM_A, LCM_B = "9" * 3000, "7" * 2999  # coprime, so their lcm has 5999 digits
 TOO_LONG = "parse error: a literal of 5000 digits exceeds the limit of 4300\n"
 # argvs whose parse error is pinned in full
 PARSE_ERRORS = {
@@ -734,7 +735,9 @@ def test_nonpositive_modulus_is_a_domain_error(argv, err, capsys):
     (["cx", "roots", "1", "10001"], "too large: 10001 roots exceed the cap of 10000"),
     (["mat", "det", "--method", "laplace", "-"],
      "too large: Laplace expansion of order 9 exceeds the cap of 8"),
-], ids=" ".join)
+    (["nt", "lcm", LCM_A, LCM_B],
+     "too large: lcm of integers of 3000 and 2999 digits has more than 4300 digits"),
+], ids=argv_id)
 def test_out_of_range_operand_is_a_domain_error(argv, err, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(IDENTITY_9))
     assert dispatch(argv) == 1
@@ -876,6 +879,8 @@ DIAGONAL_12 = "; ".join(" ".join(str(i + 1) if i == j else "0" for j in range(12
 # operands whose size is capped, so large values end quickly
 CAPPED_INTS = {
     ("comb", "expand", "n"): ["4000", "100000", "1000000"],
+    ("nt", "lcm", "a"): [LCM_A],
+    ("nt", "lcm", "b"): [LCM_B],
     ("mat", "det", "a"): [IDENTITY_9, DIAGONAL_12],
     ("comb", "fact", "n"): ["1500", "1501", "1000000"],
     ("comb", "binom", "n"): ["14000", "20000", "1000000"],
