@@ -24,22 +24,29 @@ def factorial(n: int) -> int:
     return result
 
 
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient by the multiplicative formula.
+def _binomial_row(n: int, stop: int, k: int | None = None):
+    """C(n, 0), C(n, 1), ..., C(n, stop) by the multiplicative formula
+    C(n, j+1) = C(n, j)(n-j)/(j+1).
 
-    Each intermediate division is exact (Pascal's rule guarantees
-    integrality), so no big factorials are formed.  The intermediates
-    C(n, 1), C(n, 2), ... grow up to the result, and C(n, j) >= 2^j, so a
-    result past MAX_DIGITS stops the loop within about 14 300 steps.
+    Each division is exact (Pascal's rule guarantees integrality), so no big
+    factorials are formed.  For stop <= n/2 the values grow, and
+    C(n, j) >= 2^j, so the first one past MAX_DIGITS, within about 14 300
+    steps, raises TooLarge naming binom(n, k), or binom(n, j) when k is not given.
     """
+    value = 1
+    yield value
+    for j in range(stop):
+        value = value * (n - j) // (j + 1)
+        if value >= DIGIT_LIMIT:
+            raise TooLarge(f"binom({n}, {k or j + 1}) has more than {MAX_DIGITS} digits")
+        yield value
+
+
+def binom(n: int, k: int) -> int:
+    """Binomial coefficient C(n, k), read off the row up to min(k, n-k)."""
     if n < 0 or not 0 <= k <= n:
         raise OutOfDomain(f"binom requires 0 <= k <= n, got n={n}, k={k}")
-    result = 1
-    for i in range(min(k, n - k)):
-        result = result * (n - i) // (i + 1)
-        if result >= DIGIT_LIMIT:
-            raise TooLarge(f"binom({n}, {k}) has more than {MAX_DIGITS} digits")
-    return result
+    return max(_binomial_row(n, min(k, n - k), k))  # it grows up to n/2: the last is largest
 
 
 @dataclass(frozen=True, order=True)
@@ -74,19 +81,15 @@ def binom_expand(n: int, c1: Fraction, e1: Fraction,
     """Full expansion of (c1*x^e1 + c2*x^e2)^n, n >= 1.
 
     Terms come back sorted by ascending exponent with like exponents merged
-    and zero coefficients dropped.  The row C(n, 0..n) comes from the ratio
-    C(n, k+1) = C(n, k)*(n-k)/(k+1), and is checked against MAX_DIGITS, as
-    binom checks it, before any power of c1 or c2 is formed.
+    and zero coefficients dropped.  The row C(n, 0..n) comes from binom's
+    row, so it is checked against MAX_DIGITS before any power of c1 or c2
+    is formed.
     """
     if n < 1:
         raise OutOfDomain(f"expansion requires n >= 1, got {n}")
     if c1 == 0 or c2 == 0:
         raise OutOfDomain("expansion requires nonzero coefficients")
-    half = [1]  # C(n, k) for k = 0..n//2; the row is symmetric
-    for k in range(n // 2):
-        half.append(half[-1] * (n - k) // (k + 1))
-        if half[-1] >= DIGIT_LIMIT:
-            raise TooLarge(f"binom({n}, {k + 1}) has more than {MAX_DIGITS} digits")
+    half = list(_binomial_row(n, n // 2))  # C(n, k) for k = 0..n//2; the row is symmetric
     p1, q1, p2, q2 = c1.numerator, c1.denominator, c2.numerator, c2.denominator
     num, den = p1 ** n, q1 ** n  # c1^(n-k) * c2^k = num/den
     merged: dict[Fraction, Fraction] = {}
