@@ -70,15 +70,13 @@ def parse_rational(text: str) -> Fraction:
     return sign * value
 
 
-_TERM_START = re.compile(r"(?=[+-])")
-
-
 def signed_terms(text: str, symbol: str) -> list[tuple[bool, str]]:
     """The terms of a signed sum such as "1/2-3/4i" or "2x - 3", spaces
     ignored: (whether the term ends in symbol, its coefficient as a rational
     literal).  A bare symbol has the coefficient "1", "+1" or "-1"."""
+    # re compiles the pattern at the first call, not when every run imports this module
     terms = [(term.endswith(symbol), term.removesuffix(symbol))
-             for term in _TERM_START.split(text.replace(" ", "")) if term]
+             for term in re.split(r"(?=[+-])", text.replace(" ", "")) if term]
     return [(has, body + "1" if has and body in ("", "+", "-") else body) for has, body in terms]
 
 
