@@ -27,9 +27,8 @@ def test_magma_shape_checks():
 
 def test_from_string_reads_the_carrier_then_the_rows():
     assert Magma.from_string("e a\n\ne a\na e\n") == Magma(("e", "a"), (("e", "a"), ("a", "e")))
-    for bad in ("e a", "e a\ne a", "e a\ne a\na"):
-        with pytest.raises(ParseError):
-            Magma.from_string(bad)
+    with pytest.raises(ParseError, match="table shape"):
+        Magma.from_string("e a\ne a\na")
     with pytest.raises(CarrierMismatch):
         Magma.from_string("e e\ne e\ne e")
 

@@ -43,7 +43,6 @@ def test_format_integers_plain():
     assert str(Fraction(-5, 6)) == "-5/6"
 
 
-
 def test_signed_terms_split_a_sum_into_coefficients():
     assert signed_terms("2x - 3/4 + x", "x") == [(True, "2"), (False, "-3/4"), (True, "+1")]
     assert signed_terms("-i+.5", "i") == [(True, "-1"), (False, "+.5")]

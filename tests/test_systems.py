@@ -16,7 +16,7 @@ from exactmath import (
     solve_gauss,
     solve_inverse_method,
 )
-from exactmath.errors import NotSquare, ParseError, ShapeMismatch, SingularSystem
+from exactmath.errors import NotSquare, ShapeMismatch, SingularSystem
 from conftest import random_matrix, random_regular
 
 F = Fraction
@@ -39,10 +39,6 @@ def test_shape_check():
 def test_from_string_reads_a_bar_b_and_the_augmented_matrix():
     assert LinearSystem.from_string("1 1; 1 -1 | 2 0") == TOY_UNIQUE
     assert LinearSystem.from_string("1 1 2\n1 -1 0", augmented=True) == TOY_UNIQUE
-    with pytest.raises(ParseError, match="system input is 'A | b'"):
-        LinearSystem.from_string("1 1; 1 -1")
-    with pytest.raises(ParseError, match="at least 2 columns"):
-        LinearSystem.from_string("1; 2", augmented=True)
     with pytest.raises(ShapeMismatch):
         LinearSystem.from_string("1 1; 1 -1 | 2")
 
