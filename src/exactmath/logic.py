@@ -233,16 +233,23 @@ def evaluate(f: Formula, assignment: dict[str, bool]) -> bool:
 
 @dataclass(frozen=True)
 class TruthTable:
+    """The result of a formula for every assignment of its atoms.  Rendering
+    expects the rows truth_table gives: all 2^k assignments, the first atom
+    changing slowest and T before F."""
+
     atoms: tuple[str, ...]
     rows: tuple[tuple[tuple[bool, ...], bool], ...]
 
     def __str__(self):
+        """The atom cells of all rows double once per atom: each prefix
+        gains a T cell, then an F cell."""
         header = " ".join(self.atoms) + " | *"
-        lines = [header, "-" * len(header)]
-        for values, result in self.rows:
-            cells = " ".join("T" if v else "F" for v in values)
-            lines.append(f"{cells} | {'T' if result else 'F'}")
-        return "\n".join(lines)
+        cells = [""]
+        for _ in self.atoms:
+            cells = [prefix + cell for prefix in cells for cell in ("T ", "F ")]
+        return "\n".join([header, "-" * len(header),
+                          *[prefix + ("| T" if result else "| F")
+                            for prefix, (_, result) in zip(cells, self.rows)]])
 
 
 def _column(f: Formula, atoms: list[str]) -> int:

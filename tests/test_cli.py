@@ -876,8 +876,13 @@ SMALL_INTS = ["-1", "0", "1", "2", "3", "7", "12", "x", "1/2"]
 IDENTITY_9 = "; ".join(" ".join("1" if i == j else "0" for j in range(9)) for i in range(9))
 DIAGONAL_12 = "; ".join(" ".join(str(i + 1) if i == j else "0" for j in range(12))
                         for i in range(12))
+# (10^9+7)(10^9+9), a prime above the Miller-Rabin bound, two 20-digit primes
+FACTOR_INTS = ["1000000016000000063", "4000000000000000000000027",
+               "1000000000000000001730000000000000000649"]
 # operands whose size is capped, so large values end quickly
 CAPPED_INTS = {
+    ("nt", "factor", "n"): FACTOR_INTS,
+    ("nt", "prime", "n"): FACTOR_INTS,
     ("comb", "expand", "n"): ["4000", "100000", "1000000"],
     ("nt", "lcm", "a"): [LCM_A],
     ("nt", "lcm", "b"): [LCM_B],
@@ -930,8 +935,7 @@ def fuzz_argv(command):
 def test_every_argv_ends_in_an_exit_code(command, data):
     """Any argv of the right shape exits 0, 1 or 2 (argparse's SystemExit(2)
     included), never with a traceback, and prints nothing on stdout when it
-    fails.  Operands stay small except where a cap bounds the work: trial
-    division in `nt factor` is still unbounded."""
+    fails.  Operands stay small except where a cap bounds the work."""
     argv = data.draw(fuzz_argv(command))
     out = io.StringIO()
     with mock.patch("sys.stdin", io.StringIO("1 2; 3 4")), \

@@ -1,13 +1,16 @@
 """Differential tests for the whole-table discrete kernels: bit-parallel
-truth columns, indexed Cayley-table law checks, the doubling power set,
-relation properties, composition and function flags, and Miller-Rabin
-primality, each checked against a plain one-row/one-lookup or pair-of-pairs
-reference written here or against sympy."""
+truth columns and their rendering, indexed Cayley-table law checks, the
+doubling power set, relation properties, composition and function flags,
+Miller-Rabin primality and Pollard-rho factorization, each checked against
+a plain one-row/one-lookup or pair-of-pairs reference written here or
+against sympy."""
 
+import math
+from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactmath import (
     FinSet,
@@ -23,8 +26,9 @@ from exactmath import (
     rel_compose,
     rel_properties,
 )
-from exactmath.arith import is_prime
-from exactmath.errors import CarrierMismatch, TooManyAtoms
+from exactmath.arith import factorize, is_prime
+from exactmath.cli import dispatch
+from exactmath.errors import CarrierMismatch, TooLarge, TooManyAtoms
 from exactmath.logic import (
     And,
     Atom,
@@ -78,6 +82,23 @@ def test_truth_table_matches_evaluate(f):
             else Classification.CONTRADICTION if not any(results)
             else Classification.CONTINGENT)
     assert classify(f) is want
+
+
+def reference_render(table):
+    """TruthTable text row by row: the cells of each row, then its result."""
+    header = " ".join(table.atoms) + " | *"
+    lines = [header, "-" * len(header)]
+    for values, result in table.rows:
+        cells = " ".join("T" if v else "F" for v in values)
+        lines.append(f"{cells} | {'T' if result else 'F'}")
+    return "\n".join(lines)
+
+
+@settings(max_examples=300)
+@given(formulas)
+def test_truth_table_text_matches_row_by_row_render(f):
+    table = truth_table(f)
+    assert str(table) == reference_render(table)
 
 
 @settings(max_examples=200)
@@ -393,6 +414,78 @@ def test_strong_pseudoprimes_are_composite(n, fooled):
     assert not is_prime(n)
 
 
-def test_is_prime_above_the_bound_falls_back_to_trial_division():
+def test_is_prime_above_the_bound_proves_composites():
     assert not is_prime(43 ** 16)  # >= the bound, no factor below 43
     assert not is_prime(MR_LIMIT * 43)
+
+
+PRIME_25 = 4000000000000000000000027  # above the bound
+SEMIPRIME_40 = 20000000000000000011 * 50000000000000000059
+
+
+def test_is_prime_above_the_bound_gives_no_probable_prime():
+    with pytest.raises(TooLarge):
+        is_prime(PRIME_25)
+    with pytest.raises(TooLarge):  # 13 tests would pass MAX_RHO steps
+        is_prime(4099 ** 1100)
+    assert not is_prime(43 ** 2600)  # tried divisors answer before that cap
+    assert not is_prime(SEMIPRIME_40)
+
+
+# -- factorization ---------------------------------------------------------------
+
+
+# derandomized, because rho's step count varies with n: an n that reaches
+# MAX_RHO fails on every run, not on some
+@settings(deadline=None, derandomize=True)
+@given(st.integers(2, 10**24))
+def test_factorize_matches_sympy_below_1e24(n):
+    sympy = pytest.importorskip("sympy")
+    assert factorize(n) == sorted(sympy.factorint(n).items())
+
+
+# a bound of 6 to 12 digits whose prevprime has as many digits: no prime gap
+# below 10^12 is longer than 1000
+prime_bounds = st.integers(6, 12).flatmap(lambda d: st.integers(10 ** (d - 1) + 1000, 10 ** d))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(prime_bounds, prime_bounds)
+@example(10**12, 999_999_000_000)  # the draws above rarely give two 12-digit primes
+@example(10**12, 900_001_000_000)
+def test_factorize_products_of_two_primes(a, b):
+    # sympy's factorint takes over a second on some of these products, so the
+    # oracle is the two primes sympy gives
+    sympy = pytest.importorskip("sympy")
+    p, q = sympy.prevprime(a), sympy.prevprime(b)
+    assert factorize(p * q) == sorted(Counter((p, q)).items())
+
+
+def test_factorize_splits_prime_powers_and_many_primes():
+    sympy = pytest.importorskip("sympy")
+    primes = list(sympy.primerange(43, 400))
+    n = math.prod(p ** (i % 3 + 1) for i, p in enumerate(primes))
+    assert factorize(n) == [(p, i % 3 + 1) for i, p in enumerate(primes)]
+    assert factorize(43 ** 200) == [(43, 200)]
+    assert factorize(2 ** 14000 * 3) == [(2, 14000), (3, 1)]
+    assert factorize(43 ** 2600 * 4093) == [(43, 2600), (4093, 1)]
+    with pytest.raises(TooLarge):  # 13 tests of 4099^1100 would pass MAX_RHO steps
+        factorize(4099 ** 1100)
+
+
+MR_MESSAGE = ("too large: a 25-digit number that passes Miller-Rabin for the bases up to 41 "
+              "may be composite from 3317044064679887385961981 on\n")
+
+
+@pytest.mark.parametrize("argv,out,err,code", [
+    (["nt", "factor", "1000000016000000063"], "1000000007 * 1000000009\n", "", 0),
+    (["nt", "prime", str(PRIME_25)], "", MR_MESSAGE, 1),
+    (["nt", "factor", str(PRIME_25)], "", MR_MESSAGE, 1),
+    (["nt", "factor", str(SEMIPRIME_40)], "",
+     "too large: factorization of a 40-digit number exceeds the cap of 4194304 steps\n", 1),
+    (["nt", "prime", str(SEMIPRIME_40)], "false\n", "", 0),
+], ids=["19-digit semiprime", "prime 25 digits", "factor 25 digits", "factor 40 digits",
+        "prime 40 digits"])
+def test_large_factor_and_prime_operands_through_dispatch(argv, out, err, code, capsys):
+    assert dispatch(argv) == code
+    assert capsys.readouterr() == (out, err)
