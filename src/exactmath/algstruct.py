@@ -34,10 +34,10 @@ class Magma:
 
     def __post_init__(self):
         n = len(self.carrier)
-        if len(set(self.carrier)) != n:
-            raise CarrierMismatch("carrier elements must be distinct")
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise CarrierMismatch("table shape must match the carrier")
+        if len(set(self.carrier)) != n:
+            raise CarrierMismatch("carrier elements must be distinct")
 
     @staticmethod
     def from_string(text: str) -> "Magma":
@@ -46,10 +46,10 @@ class Magma:
         lines = [line.split() for line in text.splitlines() if line.strip()]
         if len(lines) < 2:
             raise ParseError("table input: carrier line, then |S| rows")
-        carrier, rows = tuple(lines[0]), lines[1:]
-        if len(rows) != len(carrier) or any(len(row) != len(carrier) for row in rows):
-            raise ParseError("table shape must match the carrier")
-        return Magma(carrier, tuple(map(tuple, rows)))
+        try:
+            return Magma(tuple(lines[0]), tuple(map(tuple, lines[1:])))
+        except CarrierMismatch as exc:
+            raise ParseError(str(exc)) from None
 
     @property
     def closed(self) -> bool:

@@ -68,15 +68,10 @@ def _decimal_digits(n: int) -> int:
 
 
 def lcm(a: int, b: int) -> int:
-    """Least common multiple of two nonzero integers.  One of more than
-    MAX_DIGITS digits cannot be printed in decimal and raises TooLarge."""
+    """Least common multiple of two nonzero integers."""
     if a == 0 or b == 0:
         raise ZeroArgument("lcm requires nonzero arguments")
-    result = abs(a // math.gcd(a, b) * b)
-    if result >= DIGIT_LIMIT:
-        raise TooLarge(f"lcm of integers of {_decimal_digits(a)} and {_decimal_digits(b)} "
-                       f"digits has more than {MAX_DIGITS} digits")
-    return result
+    return abs(a // math.gcd(a, b) * b)
 
 
 # The first 13 primes as Miller-Rabin bases decide primality exactly for

@@ -4,8 +4,11 @@ Subcommand tree: nt, comb, logic, set, rel, alg, cx, mat, sys, geo, mix.
 Results go to stdout (plain text mirroring the usual written notation, or a
 stable JSON schema with exact rationals as {"num", "den"} pairs under
 --json); diagnostics go to stderr.  Exit codes: 0 success, 1 domain error,
-2 parse/usage error.  A literal '-' operand, integers excepted, is replaced
-by stdin.
+2 parse/usage error.  A result that cannot be printed, past the float range
+or Python's int/str digit limit, is a domain error; dispatch decides that in
+one place, for every command.  A literal '-' operand, integers excepted, is
+replaced by stdin, and a negative number, fraction or percent is an operand,
+not an option.
 
 Every subcommand is one entry of COMMANDS; the argument parser and the
 dispatch are both built from that table.  A run builds the ops of its own
@@ -26,12 +29,13 @@ import importlib
 import json
 import math
 import operator
+import re
 import sys
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import KernelError, ParseError
+from .errors import KernelError, OutOfDomain, ParseError, TooLarge
 from .rationals import parse_rational, signed_sum
 
 
@@ -471,7 +475,7 @@ COMMANDS = (
     Command("nt", "lcm", "least common multiple", _A_B_INTS,
             lambda a: single("lcm", arith.lcm(a.a, a.b))),
     Command("nt", "factor", "prime factorization", (_N,), _factor),
-    Command("nt", "prime", "primality (Miller-Rabin; trial division from 3.3e24)", (_N,),
+    Command("nt", "prime", "primality (Miller-Rabin; from 3.3e24 proves composites only)", (_N,),
             lambda a: single("prime", arith.is_prime(a.n))),
     Command("nt", "tobase", "digits of n in base b",
             (_N, arg("base", type=int)), _tobase),
@@ -485,7 +489,7 @@ COMMANDS = (
             lambda a: single("binom", combin.binom(a.n, a.k))),
     Command("comb", "expand", "expansion of (c1*x^e1 + c2*x^e2)^n", (_N, *_BINOMIAL),
             lambda a: single("terms", combin.binom_expand(a.n, *_binomial(a)),
-                             lambda terms: " + ".join(map(str, terms)).replace("+ -", "- "))),
+                             lambda terms: signed_sum([(t.coeff, t.power) for t in terms], "*"))),
     Command("comb", "term", "term k (0-based) of a binomial power",
             (_N, arg("k", type=int), *_BINOMIAL),
             lambda a: single("term", combin.binom_term(a.n, a.k, *_binomial(a)))),
@@ -626,6 +630,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
            for group, text in GROUPS.items()}
     for command in (c for c in COMMANDS if c.group in wanted):
         sub = ops[command.group].add_parser(command.op, help=command.help)
+        # argparse's own (private) test: -1/2, -10% and -2,0,4 are operands too
+        sub._negative_number_matcher = re.compile(r"^-(\d|\.\d)")
         for names, options in command.args:
             sub.add_argument(*names, **options)
         sub.set_defaults(run=command.run)
@@ -637,7 +643,7 @@ def dispatch(argv) -> int:
     for name, value in list(vars(args).items()):  # in argument order
         setattr(args, name, read_stdin(value))
     try:
-        text, payload = args.run(args)
+        out = _output(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -645,8 +651,23 @@ def dispatch(argv) -> int:
         name = type(exc).__name__
         print(f"{_snake(name)}: {exc}", file=sys.stderr)
         return 1
-    print(dump_json(payload) if args.json else text)
+    print(out)
     return 0
+
+
+def _output(args) -> str:
+    """What the command prints.  The one check that it can be printed: a
+    float past the float range or an int past Python's int/str digit limit
+    raises a KernelError here, when the handler or the rendering meets it."""
+    try:
+        text, payload = args.run(args)
+        return dump_json(payload) if args.json else text
+    except OverflowError:
+        raise OutOfDomain("a value is outside the float range") from None
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise TooLarge(f"a result has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _snake(name: str) -> str:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import OutOfDomain, TooLarge, UnknownKind
-from .rationals import DIGIT_LIMIT, MAX_DIGITS
+from .rationals import DIGIT_LIMIT, MAX_DIGITS, signed_sum
 
 # 1558! is the largest factorial of at most MAX_DIGITS digits.
 MAX_FACTORIAL = 1500
@@ -56,14 +56,17 @@ class Monomial:
     exponent: Fraction
     coeff: Fraction
 
-    def __str__(self):
-        """81, x, 216*x, 16*x^4, 495*x^(20/3)."""
-        coeff = str(self.coeff)
+    @property
+    def power(self) -> str:
+        """The power of x as printed: "" for x^0, then x, x^4, x^(20/3)."""
         if self.exponent == 0:
-            return coeff
+            return ""
         exp = str(self.exponent) if self.exponent.denominator == 1 else f"({self.exponent})"
-        x = "x" if exp == "1" else f"x^{exp}"
-        return x if coeff == "1" else f"{coeff}*{x}"
+        return "x" if exp == "1" else f"x^{exp}"
+
+    def __str__(self):
+        """81, x, 216*x, -x^3, 495*x^(20/3)."""
+        return signed_sum([(self.coeff, self.power)], "*")
 
 
 def binom_term(n: int, k: int, c1: Fraction, e1: Fraction,

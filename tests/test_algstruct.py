@@ -29,7 +29,7 @@ def test_from_string_reads_the_carrier_then_the_rows():
     assert Magma.from_string("e a\n\ne a\na e\n") == Magma(("e", "a"), (("e", "a"), ("a", "e")))
     with pytest.raises(ParseError, match="table shape"):
         Magma.from_string("e a\ne a\na")
-    with pytest.raises(CarrierMismatch):
+    with pytest.raises(ParseError, match="^carrier elements must be distinct$"):
         Magma.from_string("e e\ne e\ne e")
 
 

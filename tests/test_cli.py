@@ -654,7 +654,13 @@ def test_parse_error_exit_code(capsys):
 
 
 HUGE = "1" * 5000  # past Python's 4300-digit int/str conversion limit
-LCM_A, LCM_B = "9" * 3000, "7" * 2999  # coprime, so their lcm has 5999 digits
+LCM_A, LCM_B = "9" * 3000, "7" * 2999  # gcd 7, so their lcm has 5999 digits
+# operands that parse but whose results pass the digit limit or the float range
+DIAGONAL_2000 = "; ".join(" ".join("9" * 2000 if i == j else "0" for j in range(3))
+                          for i in range(3))
+GOOGOL_4 = "1" + "0" * 400
+PAST_DIGITS = "too large: a result has more than 4300 digits"
+PAST_FLOATS = "out of domain: a value is outside the float range"
 TOO_LONG = "parse error: a literal of 5000 digits exceeds the limit of 4300\n"
 # argvs whose parse error is pinned in full
 PARSE_ERRORS = {
@@ -666,6 +672,7 @@ PARSE_ERRORS = {
     ("alg", "classify"): "parse error: give a table (or --addmod/--mulmod N)\n",
     ("alg", "cayley", "e a"): "parse error: table input: carrier line, then |S| rows\n",
     ("alg", "cayley", "e a\ne a"): "parse error: table shape must match the carrier\n",
+    ("alg", "cayley", "e e\ne e\ne e"): "parse error: carrier elements must be distinct\n",
     ("sys", "gauss", "1 2; 3 4"): "parse error: system input is 'A | b' (or use --augmented)\n",
     ("sys", "classify", "1; 2", "--augmented"):
         "parse error: an augmented matrix needs at least 2 columns\n",
@@ -735,13 +742,62 @@ def test_nonpositive_modulus_is_a_domain_error(argv, err, capsys):
     (["cx", "roots", "1", "10001"], "too large: 10001 roots exceed the cap of 10000"),
     (["mat", "det", "--method", "laplace", "-"],
      "too large: Laplace expansion of order 9 exceeds the cap of 8"),
-    (["nt", "lcm", LCM_A, LCM_B],
-     "too large: lcm of integers of 3000 and 2999 digits has more than 4300 digits"),
+    (["nt", "lcm", LCM_A, LCM_B], PAST_DIGITS),
+    (["comb", "term", "10000", "0", "1/3", "1", "1", "1"], PAST_DIGITS),
+    (["--json", "comb", "term", "10000", "0", "1/3", "1", "1", "1"], PAST_DIGITS),
+    (["comb", "expand", "14000", "2", "1", "1", "0"], PAST_DIGITS),
+    (["comb", "sum", "squares", "1" + "0" * 1500], PAST_DIGITS),
+    (["mat", "det", DIAGONAL_2000], PAST_DIGITS),
+    (["--json", "mat", "det", DIAGONAL_2000], PAST_DIGITS),
+    (["cx", "polar", GOOGOL_4], PAST_FLOATS),
+    (["cx", "pow", GOOGOL_4, "2"], PAST_FLOATS),
+    (["cx", "roots", GOOGOL_4, "3"], PAST_FLOATS),
+    (["geo", "vec", f"({GOOGOL_4},0,0)", "(1,0,0)"], PAST_FLOATS),
 ], ids=argv_id)
 def test_out_of_range_operand_is_a_domain_error(argv, err, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(IDENTITY_9))
     assert dispatch(argv) == 1
     assert capsys.readouterr() == ("", err + "\n")
+
+
+def test_a_value_error_other_than_the_digit_limit_propagates(monkeypatch):
+    """Only the int/str digit limit becomes an exit code: any other
+    ValueError is a bug in the kernel and shows as a traceback."""
+    def broken(a, b):
+        raise ValueError("a kernel bug")
+
+    monkeypatch.setattr("exactmath.arith.lcm", broken)
+    with pytest.raises(ValueError, match="^a kernel bug$"):
+        dispatch(["nt", "lcm", "4", "6"])
+
+
+# a negative fraction or percent is an operand, not an option; '-' alone is stdin
+NEGATIVE_OPERANDS = [
+    (["mix", "chain", "--start", "100", "-10%", "+15%"], 0, "207/2\n", ""),
+    (["mix", "percent", "--i", "30", "--p", "-3%"], 1, "",
+     "non positive: p must be positive to recover G\n"),
+    (["mat", "arith", "scale", "1 2; 3 4", "-1/2"], 0, "-1/2 -1\n-3/2 -2\n", ""),
+    (["mix", "chain", "--start", "-", "-10%", "+15%"], 0, "207/2\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", NEGATIVE_OPERANDS,
+                         ids=[" ".join(argv) for argv, *_ in NEGATIVE_OPERANDS])
+def test_negative_fraction_or_percent_is_an_operand(argv, code, out, err, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("100"))
+    assert dispatch(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["comb", "expand", "3", "--", "-1", "1", "1", "0"], "1 - 3*x + 3*x^2 - x^3\n"),
+    (["comb", "term", "3", "3", "1", "1", "-1", "1"], "-x^3\n"),
+    (["comb", "term", "3", "1", "0", "1", "1", "1"], "0\n"),
+    (["comb", "expand", "3", "--", "-1", "2", "1", "2"], "0\n"),
+], ids=" ".join)
+def test_binomial_terms_print_as_a_signed_sum(argv, out, capsys):
+    assert dispatch(argv) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 def test_usage_error_exit_code(capsys):
@@ -904,7 +960,7 @@ TOKENS = [
     "point=(0,0,0) dir=(1,0,0)", "(x-1)/3 = (y-2)/-2 = (z-3)/1", "point=(1,1,1) dir=(0,0,0)",
     "1 2; 3 4", "3 2 -1; 1 2 4; 0 6 -2", "1 2 3", "1 2; 3", "0 0; 0 0", "1 1; 1 -1 | 2 0",
     "1 1 2; 1 1 3", "1 2 |", "p & !q", "p -> (q -> p)", "p &", "e a\ne a\na e", "a b\na c\nb b",
-    HUGE,
+    HUGE, "9" * 400, "7" * 2500, "(1," + "9" * 400 + ",0)", "1" + "0" * 400 + "+i",
 ]
 ARITY = {None: (1, 1), "?": (0, 1), "+": (1, 3), "*": (0, 3)}
 
@@ -935,7 +991,9 @@ def fuzz_argv(command):
 def test_every_argv_ends_in_an_exit_code(command, data):
     """Any argv of the right shape exits 0, 1 or 2 (argparse's SystemExit(2)
     included), never with a traceback, and prints nothing on stdout when it
-    fails.  Operands stay small except where a cap bounds the work."""
+    fails.  Operands stay small except where a cap bounds the work, and
+    except the long literals, whose results pass the int/str digit limit or
+    the float range."""
     argv = data.draw(fuzz_argv(command))
     out = io.StringIO()
     with mock.patch("sys.stdin", io.StringIO("1 2; 3 4")), \
