@@ -49,6 +49,29 @@ def binom(n: int, k: int) -> int:
     return max(_binomial_row(n, min(k, n - k), k))  # it grows up to n/2: the last is largest
 
 
+# A positive integer of at least 2^_DIGIT_BITS has more than MAX_DIGITS digits.
+_DIGIT_BITS = DIGIT_LIMIT.bit_length()
+
+
+def _check_power_digits(what: str, factors) -> None:
+    """Raise TooLarge when the product of x^m over the (x, m) factors,
+    m >= 0, has a numerator or denominator past MAX_DIGITS digits, read off
+    bit lengths before any power is formed.  In lowest terms the numerator
+    is at least |product| and the denominator at least 1/|product|, so only
+    lower bounds on them are tested: what this refuses cannot be printed."""
+    if any(x == 0 and m for x, m in factors):
+        return  # the product is 0
+    # an integer j >= 1 lies in [2^(bitlen(j) - 1), 2^bitlen(j - 1)],
+    # so lo <= log2|product| <= hi
+    lo = hi = 0
+    for x, m in factors:
+        p, q = abs(x.numerator), x.denominator
+        lo += m * (p.bit_length() - 1 - (q - 1).bit_length())
+        hi += m * ((p - 1).bit_length() - q.bit_length() + 1)
+    if lo >= _DIGIT_BITS or -hi >= _DIGIT_BITS:
+        raise TooLarge(f"{what} has more than {MAX_DIGITS} digits")
+
+
 @dataclass(frozen=True, order=True)
 class Monomial:
     """A single term coeff * x^exponent with rational coeff and exponent."""
@@ -74,7 +97,9 @@ def binom_term(n: int, k: int, c1: Fraction, e1: Fraction,
     """Term T_{k+1} of (c1*x^e1 + c2*x^e2)^n, k = 0..n."""
     if not 0 <= k <= n:
         raise OutOfDomain(f"term index requires 0 <= k <= n, got n={n}, k={k}")
-    coeff = binom(n, k) * c1 ** (n - k) * c2 ** k
+    count = binom(n, k)
+    _check_power_digits(f"the coefficient of term {k}", ((count, 1), (c1, n - k), (c2, k)))
+    coeff = count * c1 ** (n - k) * c2 ** k
     exponent = e1 * (n - k) + e2 * k
     return Monomial(Fraction(exponent), Fraction(coeff))
 
@@ -86,7 +111,8 @@ def binom_expand(n: int, c1: Fraction, e1: Fraction,
     Terms come back sorted by ascending exponent with like exponents merged
     and zero coefficients dropped.  The row C(n, 0..n) comes from binom's
     row, so it is checked against MAX_DIGITS before any power of c1 or c2
-    is formed.
+    is formed.  When e1 != e2 no two terms merge, and the end terms c1^n and
+    c2^n, already in lowest terms, are checked the same way.
     """
     if n < 1:
         raise OutOfDomain(f"expansion requires n >= 1, got {n}")
@@ -94,6 +120,9 @@ def binom_expand(n: int, c1: Fraction, e1: Fraction,
         raise OutOfDomain("expansion requires nonzero coefficients")
     half = list(_binomial_row(n, n // 2))  # C(n, k) for k = 0..n//2; the row is symmetric
     p1, q1, p2, q2 = c1.numerator, c1.denominator, c2.numerator, c2.denominator
+    if e1 != e2:
+        biggest = max(abs(p1), q1, abs(p2), q2)
+        _check_power_digits("an end term of the expansion", ((biggest, n),))
     num, den = p1 ** n, q1 ** n  # c1^(n-k) * c2^k = num/den
     merged: dict[Fraction, Fraction] = {}
     for k, count in enumerate(half + half[n - len(half)::-1]):

@@ -4,7 +4,7 @@ operations, power set, Cartesian product, and the three-set counting
 """
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InconsistentCounts, MixedAtoms, NotASubset, TooLarge, UnknownKind
 
@@ -17,23 +17,27 @@ def _check_atoms(elements):
         raise MixedAtoms("a set must hold only integers or only symbols")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinSet:
     """Duplicate-free, canonically sorted finite set."""
 
     elements: tuple
+    # str(self) when already known (powerset builds it); None means join on demand
+    _text: str | None = field(default=None, repr=False, compare=False)
 
     def __init__(self, elements=()):
         elements = set(elements)
         _check_atoms(elements)
         object.__setattr__(self, "elements", tuple(sorted(elements)))
+        object.__setattr__(self, "_text", None)
 
     @classmethod
-    def _canonical(cls, elements: tuple) -> "FinSet":
+    def _canonical(cls, elements: tuple, text: str) -> "FinSet":
         """Wrap a tuple that is already duplicate-free, sorted and of one
-        atom kind, skipping the checks of __init__."""
+        atom kind, and its text, skipping the checks of __init__."""
         s = object.__new__(cls)
         object.__setattr__(s, "elements", elements)
+        object.__setattr__(s, "_text", text)
         return s
 
     def __len__(self):
@@ -49,6 +53,8 @@ class FinSet:
         return set(self.elements) <= set(other.elements)
 
     def __str__(self):
+        if self._text is not None:
+            return self._text
         return "{" + ", ".join(str(e) for e in self.elements) + "}"
 
 
@@ -74,11 +80,14 @@ def powerset(a: FinSet) -> list[FinSet]:
     if len(a) > MAX_POWERSET:
         raise TooLarge(f"power set of {len(a)} elements is too large")
     # doubling keeps the mask order: the copies made for element i are
-    # exactly the masks with bit i set
-    subsets = [()]
+    # exactly the masks with bit i set; each subset's text doubles beside it
+    subsets, texts = [()], ["{}"]
     for e in a.elements:
+        t = str(e)
+        tail = ", " + t + "}"
         subsets += [s + (e,) for s in subsets]
-    return [FinSet._canonical(s) for s in subsets]
+        texts += ["{" + t + "}"] + [x[:-1] + tail for x in texts[1:]]
+    return list(map(FinSet._canonical, subsets, texts))
 
 
 def cartesian(a: FinSet, b: FinSet) -> list[tuple]:

@@ -659,6 +659,7 @@ LCM_A, LCM_B = "9" * 3000, "7" * 2999  # gcd 7, so their lcm has 5999 digits
 DIAGONAL_2000 = "; ".join(" ".join("9" * 2000 if i == j else "0" for j in range(3))
                           for i in range(3))
 GOOGOL_4 = "1" + "0" * 400
+NINES_400 = "9" * 400  # its powers pass the digit limit long before they are formed
 PAST_DIGITS = "too large: a result has more than 4300 digits"
 PAST_FLOATS = "out of domain: a value is outside the float range"
 TOO_LONG = "parse error: a literal of 5000 digits exceeds the limit of 4300\n"
@@ -746,6 +747,10 @@ def test_nonpositive_modulus_is_a_domain_error(argv, err, capsys):
     (["comb", "term", "10000", "0", "1/3", "1", "1", "1"], PAST_DIGITS),
     (["--json", "comb", "term", "10000", "0", "1/3", "1", "1", "1"], PAST_DIGITS),
     (["comb", "expand", "14000", "2", "1", "1", "0"], PAST_DIGITS),
+    (["comb", "term", "100000", "0", NINES_400, "1", "1", "1"],
+     "too large: the coefficient of term 0 has more than 4300 digits"),
+    (["comb", "expand", "4000", NINES_400, "1", "1", "0"],
+     "too large: an end term of the expansion has more than 4300 digits"),
     (["comb", "sum", "squares", "1" + "0" * 1500], PAST_DIGITS),
     (["mat", "det", DIAGONAL_2000], PAST_DIGITS),
     (["--json", "mat", "det", DIAGONAL_2000], PAST_DIGITS),

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from exactmath import (
     Monomial,
@@ -153,6 +153,44 @@ def test_constant_term():
     terms = binom_expand(12, F(1), F(1), F(1), F(-2))
     constant = [t for t in terms if t.exponent == 0]
     assert constant == [Monomial(F(0), F(495))]
+
+
+def past_the_digit_limit(x):
+    return max(abs(x.numerator), x.denominator) >= 10 ** MAX_DIGITS
+
+
+@pytest.mark.parametrize("c", [F(2), F(-1, 2)])
+def test_power_cap_is_exact_at_a_power_of_two(c):
+    """2^14284 has 4300 digits and 2^14285 has 4301: the bit-length test
+    refuses the second before forming it and lets the first through."""
+    coeff = binom_term(14284, 0, c, F(1), F(1), F(0)).coeff
+    assert len(str(max(abs(coeff.numerator), coeff.denominator))) == MAX_DIGITS
+    with pytest.raises(TooLarge, match=r"^the coefficient of term 0 has more than 4300 digits$"):
+        binom_term(14285, 0, c, F(1), F(1), F(0))
+    with pytest.raises(TooLarge, match=r"^an end term of the expansion has more than 4300 digits$"):
+        binom_expand(14285, F(1), F(0), c, F(1))
+
+
+big_fractions = st.builds(F, st.integers(-10**25, 10**25), st.integers(1, 10**25))
+
+
+@given(st.integers(1, 6000), st.integers(0, 6000), big_fractions, big_fractions)
+@example(6000, 0, F(10**25 + 1, 10**25), F(1))  # near 1: only the end-term bound refuses
+def test_power_caps_refuse_only_what_cannot_be_printed(n, k, c1, c2):
+    """A refusal from the bit-length bounds is never wrong: the value it
+    stands for has a numerator or denominator past the digit limit."""
+    k %= n + 1
+    try:
+        binom_term(n, k, c1, F(1), c2, F(0))
+    except TooLarge as exc:
+        if str(exc).startswith("the coefficient"):
+            assert past_the_digit_limit(binom(n, k) * c1 ** (n - k) * c2 ** k)
+    if c1 and c2:
+        try:
+            binom_expand(n, c1, F(1), c2, F(0))
+        except TooLarge as exc:
+            if str(exc).startswith("an end term"):
+                assert past_the_digit_limit(c1 ** n) or past_the_digit_limit(c2 ** n)
 
 
 def test_term_out_of_range():

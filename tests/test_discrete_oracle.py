@@ -268,6 +268,9 @@ def test_powerset_matches_bitmask_definition(elements):
     assert [s.elements for s in subsets] == [s.elements for s in want]
     assert [hash(s) for s in subsets] == [hash(s) for s in want]
     assert all(type(s) is FinSet for s in subsets)
+    # want's members join their text on demand; powerset's carry it from the doubling
+    assert [str(s) for s in subsets] == [str(w) for w in want]
+    assert [repr(s) for s in subsets] == [repr(w) for w in want]
 
 
 # -- relations -------------------------------------------------------------------
