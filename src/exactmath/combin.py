@@ -109,27 +109,31 @@ def binom_expand(n: int, c1: Fraction, e1: Fraction,
     """Full expansion of (c1*x^e1 + c2*x^e2)^n, n >= 1.
 
     Terms come back sorted by ascending exponent with like exponents merged
-    and zero coefficients dropped.  The row C(n, 0..n) comes from binom's
-    row, so it is checked against MAX_DIGITS before any power of c1 or c2
-    is formed.  When e1 != e2 no two terms merge, and the end terms c1^n and
+    and zero coefficients dropped.  The row C(n, 0..n) is walked with binom's
+    row first, so it is checked against MAX_DIGITS before any power of c1
+    or c2 is formed.  When e1 != e2 no two terms merge, and the end terms c1^n and
     c2^n, already in lowest terms, are checked the same way.
     """
     if n < 1:
         raise OutOfDomain(f"expansion requires n >= 1, got {n}")
     if c1 == 0 or c2 == 0:
         raise OutOfDomain("expansion requires nonzero coefficients")
-    half = list(_binomial_row(n, n // 2))  # C(n, k) for k = 0..n//2; the row is symmetric
-    p1, q1, p2, q2 = c1.numerator, c1.denominator, c2.numerator, c2.denominator
+    for _ in _binomial_row(n, n // 2):  # the row is symmetric and peaks at n//2
+        pass
     if e1 != e2:
-        biggest = max(abs(p1), q1, abs(p2), q2)
+        biggest = max(abs(c1.numerator), c1.denominator, abs(c2.numerator), c2.denominator)
         _check_power_digits("an end term of the expansion", ((biggest, n),))
-    num, den = p1 ** n, q1 ** n  # c1^(n-k) * c2^k = num/den
+    ratio = c2 / c1
+    coeff = c1 ** n  # C(n, k) c1^(n-k) c2^k, in lowest terms
     merged: dict[Fraction, Fraction] = {}
-    for k, count in enumerate(half + half[n - len(half)::-1]):
+    for k in range(n + 1):
         if k:
-            num, den = num // p1 * p2, den // q1 * q2
+            # one small factor a step keeps each reduction linear in the
+            # size of coeff, where reducing count * num / den from scratch
+            # took a gcd of two numbers of thousands of digits per term
+            coeff *= Fraction(n - k + 1, k) * ratio
         exponent = Fraction(e1 * (n - k) + e2 * k)
-        merged[exponent] = merged.get(exponent, 0) + Fraction(count * num, den)
+        merged[exponent] = merged.get(exponent, 0) + coeff
     return [Monomial(e, c) for e, c in sorted(merged.items()) if c != 0]
 
 
