@@ -118,8 +118,11 @@ def binom_expand(n: int, c1: Fraction, e1: Fraction,
         raise OutOfDomain(f"expansion requires n >= 1, got {n}")
     if c1 == 0 or c2 == 0:
         raise OutOfDomain("expansion requires nonzero coefficients")
-    for _ in _binomial_row(n, n // 2):  # the row is symmetric and peaks at n//2
+    # the row is symmetric and peaks at n//2: walking it to there raises
+    # TooLarge at the first C(n, k) past MAX_DIGITS
+    for _ in _binomial_row(n, n // 2):
         pass
+    c1, c2 = Fraction(c1), Fraction(c2)  # int operands step exactly too
     if e1 != e2:
         biggest = max(abs(c1.numerator), c1.denominator, abs(c2.numerator), c2.denominator)
         _check_power_digits("an end term of the expansion", ((biggest, n),))
@@ -128,9 +131,8 @@ def binom_expand(n: int, c1: Fraction, e1: Fraction,
     merged: dict[Fraction, Fraction] = {}
     for k in range(n + 1):
         if k:
-            # one small factor a step keeps each reduction linear in the
-            # size of coeff, where reducing count * num / den from scratch
-            # took a gcd of two numbers of thousands of digits per term
+            # one small factor a step: Fraction reduces against its small
+            # numerator and denominator, never by a gcd of two big numbers
             coeff *= Fraction(n - k + 1, k) * ratio
         exponent = Fraction(e1 * (n - k) + e2 * k)
         merged[exponent] = merged.get(exponent, 0) + coeff

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactmath import (
     Monomial,
@@ -133,6 +133,14 @@ def test_expand_matches_reference_on_random_operands(n, c1, e1, c2, e2):
     assert binom_expand(n, c1, e1, c2, e2) == expand_by_terms(n, c1, e1, c2, e2)
 
 
+def test_expand_of_int_operands_is_exact():
+    """Plain int operands give Fraction coefficients, exact past 2^53."""
+    terms = binom_expand(40, 3, 0, 1, 1)
+    assert all(type(t.coeff) is F for t in terms)
+    assert terms == expand_by_terms(40, 3, 0, 1, 1)
+    assert str(terms[1]) == "162102206120759050680*x"
+
+
 @pytest.mark.parametrize("n", [14300, 20000, 10**6, 10**18])
 def test_expand_cap_is_binoms(n):
     """binom_expand raises binom's message for the first C(n, k) past the
@@ -174,6 +182,10 @@ def test_power_cap_is_exact_at_a_power_of_two(c):
 big_fractions = st.builds(F, st.integers(-10**25, 10**25), st.integers(1, 10**25))
 
 
+# a body may form two powers of 75 000 digits (n = 6000, k = 3000 and
+# coefficients near 1, which no bound refuses): about 0.2 s, past the
+# default deadline
+@settings(deadline=None, derandomize=True)
 @given(st.integers(1, 6000), st.integers(0, 6000), big_fractions, big_fractions)
 @example(6000, 0, F(10**25 + 1, 10**25), F(1))  # near 1: only the end-term bound refuses
 def test_power_caps_refuse_only_what_cannot_be_printed(n, k, c1, c2):
