@@ -20,8 +20,6 @@ rationals.signed_sum; the handlers here only pick the parser for each
 operand and lay out the result.
 """
 
-from __future__ import annotations
-
 import argparse
 import collections.abc
 import dataclasses
@@ -33,7 +31,6 @@ import re
 import sys
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 from .errors import KernelError, OutOfDomain, ParseError, TooLarge
 from .rationals import parse_rational, signed_sum
@@ -56,11 +53,17 @@ class _Module:
 # -- rendering -------------------------------------------------------------
 
 
-def _instance(obj, module, *types):
-    """isinstance(obj, module.types) without importing module: while it is
-    not loaded, no value of its types exists."""
-    loaded = sys.modules.get(f"{__package__}.{module}")
-    return loaded is not None and isinstance(obj, tuple(getattr(loaded, t) for t in types))
+# JSON forms of the kernel values that are not encoded as their fields, and
+# the solution kinds, which are their fields plus a "kind" tag; both keyed by
+# type name, so that no kernel module is imported to recognise a value
+_JSON_FORMS = {
+    "Matrix": lambda m: m.entries,
+    "Vec3": lambda v: v.components(),
+    "FinSet": lambda s: s.elements,
+    "Relation": lambda r: {"source": r.source, "target": r.target,
+                           "pairs": sorted(([a, b] for a, b in r.pairs), key=repr)},
+}
+_SOLUTION_KINDS = {"Unique", "Inconsistent", "Parametric"}
 
 
 def to_jsonable(obj):
@@ -71,18 +74,12 @@ def to_jsonable(obj):
         return {"num": obj.numerator, "den": obj.denominator}
     if isinstance(obj, Enum):
         return obj.value
-    if _instance(obj, "matrices", "Matrix"):
-        return obj.entries
-    if _instance(obj, "geometry", "Vec3"):
-        return obj.components()
-    if _instance(obj, "sets", "FinSet"):
-        return obj.elements
-    if _instance(obj, "relations", "Relation"):
-        return {"source": obj.source, "target": obj.target,
-                "pairs": sorted(([a, b] for a, b in obj.pairs), key=repr)}
+    name = type(obj).__name__
+    if name in _JSON_FORMS:
+        return _JSON_FORMS[name](obj)
     fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if _instance(obj, "systems", "Unique", "Inconsistent", "Parametric"):
-        fields["kind"] = type(obj).__name__.lower()
+    if name in _SOLUTION_KINDS:
+        fields["kind"] = name.lower()
     return fields
 
 
@@ -102,7 +99,7 @@ def fmt_list(values) -> str:
     return ", ".join(fmt(v) for v in values)
 
 
-def fmt_polar(p: complexn.Polar) -> str:
+def fmt_polar(p) -> str:
     degrees = math.degrees(p.theta)
     return f"r = {p.r:.10g}, theta = {p.theta:.10g} rad ({degrees:.10g} deg)"
 
@@ -148,7 +145,7 @@ def read_stdin(value):
     return sys.stdin.read() if value == "-" else value
 
 
-def parse_magma(args) -> algstruct.Magma:
+def parse_magma(args):
     if args.addmod is not None:
         return algstruct.mod_add_table(args.addmod)
     if args.mulmod is not None:
@@ -160,26 +157,6 @@ def parse_magma(args) -> algstruct.Magma:
 
 def _opt_rat(value):
     return None if value is None else ratio.parse_percent(value)
-
-
-def _formula(text):
-    return logic.parse_formula(text)
-
-
-def _set(text):
-    return parsing.parse_set(text)
-
-
-def _relation(text):
-    return parsing.parse_relation(text)
-
-
-def _complex(text):
-    return parsing.parse_complex(text)
-
-
-def _matrix(text):
-    return matrices.Matrix.from_string(text)
 
 
 def _system(args):
@@ -261,7 +238,7 @@ def _binomial(args):
 
 
 def _set_op(args):
-    a, b = _set(args.a), _set(args.b)
+    a, b = parsing.parse_set(args.a), parsing.parse_set(args.b)
     if args.setop == "complement":
         return single("result", sets.complement(a, b))
     return single("result", sets.set_ops(a, b, args.setop))
@@ -302,7 +279,7 @@ def _pairs(rel):
 
 
 def _rel_compose(args):
-    first, second = _relation(args.relation), _relation(args.other)
+    first, second = parsing.parse_relation(args.relation), parsing.parse_relation(args.other)
     # align the intermediate sets so composition is defined
     middle = sets.set_ops(first.range(), second.domain(), "union")
     return _pairs(relations.rel_compose(relations.Relation(first.source, middle, first.pairs),
@@ -319,7 +296,7 @@ def _alg_classify(args):
 
 
 def _cx_pow(args):
-    p = complexn.pow_int(complexn.to_polar(_complex(args.z)), args.n)
+    p = complexn.pow_int(complexn.to_polar(parsing.parse_complex(args.z)), args.n)
     x, y = complexn.from_polar(p)
     return f"{fmt_polar(p)}\nxy = ({x:.10g}, {y:.10g})", {"polar": p, "xy": [x, y]}
 
@@ -330,7 +307,7 @@ _ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
 
 
 def _matrix_op(args):
-    a = _matrix(args.a)
+    a = matrices.Matrix.from_string(args.a)
     if args.matop == "transpose":
         return single("matrix", matrices.transpose(a))
     if args.b is None:
@@ -338,17 +315,17 @@ def _matrix_op(args):
     if args.matop == "scale":
         return single("matrix", matrices.scale(parse_rational(args.b), a))
     kernel = matrices.matmul if args.matop == "mul" else _ARITH[args.matop]
-    return single("matrix", kernel(a, _matrix(args.b)))
+    return single("matrix", kernel(a, matrices.Matrix.from_string(args.b)))
 
 
 def _rank(args):
-    report = matrices.rank(_matrix(args.a))
+    report = matrices.rank(matrices.Matrix.from_string(args.a))
     ops = "; ".join(report.op_log) or "none"
     return f"rank = {report.rank}\n{report.echelon}\nops: {ops}", report
 
 
 def _homogeneous(args):
-    info = systems.homogeneous_analysis(_matrix(args.system))
+    info = systems.homogeneous_analysis(matrices.Matrix.from_string(args.system))
     return f"trivial only: {fmt(info['trivial_only'])}\n{fmt_solution(info['solutions'])}", info
 
 
@@ -417,14 +394,10 @@ def _mix_simple(args):
 # -- command table ---------------------------------------------------------
 
 
-class Command(NamedTuple):
-    """One `exactmath GROUP OP` subcommand."""
-
-    group: str
-    op: str
-    help: str
-    args: tuple  # (names, add_argument keywords) per argument
-    run: Callable  # parsed arguments -> (text, payload)
+# One `exactmath GROUP OP` subcommand: its group and op names, its help line,
+# args as (names, add_argument keywords) per argument, and run, which takes
+# the parsed arguments and returns (text, payload).
+Command = collections.namedtuple("Command", "group op help args run")
 
 
 def arg(*names, **options):
@@ -498,22 +471,24 @@ COMMANDS = (
             lambda a: single("sum", combin.closed_form_sum(a.kind, a.n))),
 
     Command("logic", "table", "truth table", (arg("formula"),),
-            lambda a: itself(logic.truth_table(_formula(a.formula)))),
+            lambda a: itself(logic.truth_table(logic.parse_formula(a.formula)))),
     Command("logic", "classify", "tautology / contradiction / contingent", (arg("formula"),),
-            lambda a: single("classification", logic.classify(_formula(a.formula)).value)),
+            lambda a: single("classification",
+                             logic.classify(logic.parse_formula(a.formula)).value)),
     Command("logic", "equiv", "logical equivalence of two formulas",
             (arg("formula"), arg("other")),
-            lambda a: single("equivalent",
-                             logic.equivalent(_formula(a.formula), _formula(a.other)))),
+            lambda a: single("equivalent", logic.equivalent(logic.parse_formula(a.formula),
+                                                            logic.parse_formula(a.other)))),
 
     Command("set", "ops", "union/intersect/diff/symdiff/complement",
             (arg("setop", choices=["union", "intersect", "diff", "symdiff", "complement"]),
              arg("a"), arg("b")), _set_op),
     Command("set", "power", "power set", (arg("a"),),
-            lambda a: single("subsets", sets.powerset(_set(a.a)),
+            lambda a: single("subsets", sets.powerset(parsing.parse_set(a.a)),
                              lambda subsets: "\n".join(map(str, subsets)))),
     Command("set", "cart", "Cartesian product", (arg("a"), arg("b")),
-            lambda a: single("pairs", sets.cartesian(_set(a.a), _set(a.b)),
+            lambda a: single("pairs", sets.cartesian(parsing.parse_set(a.a),
+                                                     parsing.parse_set(a.b)),
                              lambda pairs: ", ".join(f"({x}, {y})" for x, y in pairs))),
     Command("set", "venn3", "three-set census (third set unknown)",
             tuple(arg(name, type=int) for name in ("total", "f", "e", "fe", "enj", "fnj", "fenj")),
@@ -525,19 +500,20 @@ COMMANDS = (
     Command("rel", "compose", "composition (second after first)",
             (arg("relation"), arg("other")), _rel_compose),
     Command("rel", "inverse", "inverse relation", (arg("relation"),),
-            lambda a: _pairs(relations.rel_inverse(_relation(a.relation)))),
+            lambda a: _pairs(relations.rel_inverse(parsing.parse_relation(a.relation)))),
 
     Command("alg", "cayley", "print a Cayley table", _MAGMA, lambda a: itself(parse_magma(a))),
     Command("alg", "classify", "magma..abelian group classification", _MAGMA, _alg_classify),
 
     Command("cx", "arith", "exact arithmetic on a+bi literals",
             (arg("cop", choices=["add", "sub", "mul", "div"]), arg("z1"), arg("z2")),
-            lambda a: single("result", _ARITH[a.cop](_complex(a.z1), _complex(a.z2)))),
+            lambda a: single("result", _ARITH[a.cop](parsing.parse_complex(a.z1),
+                                                     parsing.parse_complex(a.z2)))),
     Command("cx", "polar", "polar form (canonical angle)", (arg("z"),),
-            lambda a: single("polar", complexn.to_polar(_complex(a.z)), fmt_polar)),
+            lambda a: single("polar", complexn.to_polar(parsing.parse_complex(a.z)), fmt_polar)),
     Command("cx", "pow", "integer power via De Moivre", (arg("z"), _N), _cx_pow),
     Command("cx", "roots", "all n-th roots", (arg("z"), _N),
-            lambda a: single("roots", complexn.roots_n(_complex(a.z), a.n),
+            lambda a: single("roots", complexn.roots_n(parsing.parse_complex(a.z), a.n),
                              lambda roots: "\n".join(map(fmt_polar, roots)))),
 
     Command("mat", "arith", "add/sub/mul/scale/transpose",
@@ -546,17 +522,17 @@ COMMANDS = (
     Command("mat", "det", "determinant",
             (arg("a"), arg("--method", default="elimination",
                            choices=["laplace", "elimination", "sarrus3"])),
-            lambda a: single("det", matrices.det(_matrix(a.a), a.method))),
+            lambda a: single("det", matrices.det(matrices.Matrix.from_string(a.a), a.method))),
     Command("mat", "adj", "adjugate matrix", (arg("a"),),
-            lambda a: single("matrix", matrices.adjugate(_matrix(a.a)))),
+            lambda a: single("matrix", matrices.adjugate(matrices.Matrix.from_string(a.a)))),
     Command("mat", "inverse", "inverse matrix", (arg("a"),),
-            lambda a: single("matrix", matrices.inverse(_matrix(a.a)))),
+            lambda a: single("matrix", matrices.inverse(matrices.Matrix.from_string(a.a)))),
     Command("mat", "rank", "rank via elementary transformations", (arg("a"),), _rank),
     Command("mat", "solveq", "solve AX=B (left) or XA=B (right)",
             (arg("side", choices=["left", "right"]), arg("a"), arg("b")),
             lambda a: single("matrix", matrices.solve_matrix_equation(
                 "left_AX_eq_B" if a.side == "left" else "right_XA_eq_B",
-                _matrix(a.a), _matrix(a.b)))),
+                matrices.Matrix.from_string(a.a), matrices.Matrix.from_string(a.b)))),
 
     Command("sys", "classify", "Kronecker-Capelli verdict", _SYSTEM, _sys_classify),
     Command("sys", "gauss", "Gaussian elimination", _SYSTEM,

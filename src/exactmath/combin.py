@@ -108,11 +108,13 @@ def binom_expand(n: int, c1: Fraction, e1: Fraction,
                  c2: Fraction, e2: Fraction) -> list[Monomial]:
     """Full expansion of (c1*x^e1 + c2*x^e2)^n, n >= 1.
 
-    Terms come back sorted by ascending exponent with like exponents merged
-    and zero coefficients dropped.  The row C(n, 0..n) is walked with binom's
-    row first, so it is checked against MAX_DIGITS before any power of c1
-    or c2 is formed.  When e1 != e2 no two terms merge, and the end terms c1^n and
-    c2^n, already in lowest terms, are checked the same way.
+    Terms come back sorted by ascending exponent.  The row C(n, 0..n) is
+    walked with binom's row first, so it is checked against MAX_DIGITS
+    before any power of c1 or c2 is formed.  When e1 == e2 every term merges
+    into one, (c1 + c2)^n * x^(e1*n), or none when c1 + c2 = 0; otherwise no
+    two terms merge, and the end terms c1^n and c2^n are checked instead.
+    Each checked power has its base in lowest terms, so only what cannot be
+    printed is refused.
     """
     if n < 1:
         raise OutOfDomain(f"expansion requires n >= 1, got {n}")
@@ -123,20 +125,25 @@ def binom_expand(n: int, c1: Fraction, e1: Fraction,
     for _ in _binomial_row(n, n // 2):
         pass
     c1, c2 = Fraction(c1), Fraction(c2)  # int operands step exactly too
-    if e1 != e2:
-        biggest = max(abs(c1.numerator), c1.denominator, abs(c2.numerator), c2.denominator)
-        _check_power_digits("an end term of the expansion", ((biggest, n),))
+    if e1 == e2:
+        total = c1 + c2
+        if total == 0:
+            return []
+        biggest = max(abs(total.numerator), total.denominator)
+        _check_power_digits("the merged term of the expansion", ((biggest, n),))
+        return [Monomial(Fraction(e1 * n), total ** n)]
+    biggest = max(abs(c1.numerator), c1.denominator, abs(c2.numerator), c2.denominator)
+    _check_power_digits("an end term of the expansion", ((biggest, n),))
     ratio = c2 / c1
     coeff = c1 ** n  # C(n, k) c1^(n-k) c2^k, in lowest terms
-    merged: dict[Fraction, Fraction] = {}
+    terms = []
     for k in range(n + 1):
         if k:
             # one small factor a step: Fraction reduces against its small
             # numerator and denominator, never by a gcd of two big numbers
             coeff *= Fraction(n - k + 1, k) * ratio
-        exponent = Fraction(e1 * (n - k) + e2 * k)
-        merged[exponent] = merged.get(exponent, 0) + coeff
-    return [Monomial(e, c) for e, c in sorted(merged.items()) if c != 0]
+        terms.append(Monomial(Fraction(e1 * (n - k) + e2 * k), coeff))
+    return sorted(terms)
 
 
 # Closed forms proved by induction in the text; the loop oracle lives in the

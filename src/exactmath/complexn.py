@@ -100,29 +100,22 @@ def canonical_angle(theta: float) -> float:
     return theta if theta < TWO_PI else 0.0
 
 
-def arg_principal_xy(x: float, y: float) -> float:
+def arg_principal(z: GaussianRational) -> float:
+    x, y = float(z.re), float(z.im)
     if x == 0 and y == 0:
         raise ZeroArgument("the argument of 0 is undefined")
     return math.atan2(y, x)  # already the piecewise principal value in (-pi, pi]
 
 
-def arg_principal(z: GaussianRational) -> float:
-    return arg_principal_xy(float(z.re), float(z.im))
-
-
-def arg_canonical_xy(x: float, y: float) -> float:
-    return canonical_angle(arg_principal_xy(x, y))
-
-
 def arg_canonical(z: GaussianRational) -> float:
-    return arg_canonical_xy(float(z.re), float(z.im))
+    return canonical_angle(arg_principal(z))
 
 
 def polar_of(x: float, y: float) -> Polar:
     """Polar form of the point (x, y); the angle is the canonical one."""
     if x == 0 and y == 0:
         return Polar(0.0, 0.0)
-    return Polar(math.hypot(x, y), arg_canonical_xy(x, y))
+    return Polar(math.hypot(x, y), canonical_angle(math.atan2(y, x)))
 
 
 def to_polar(z: GaussianRational) -> Polar:

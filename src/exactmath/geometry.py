@@ -198,12 +198,10 @@ class Plane:
     def normalized(self) -> "Plane":
         """Equivalent plane with coprime integer coefficients and a
         positive leading coefficient."""
-        from math import gcd, lcm
-
         coeffs = (self.a, self.b, self.c, self.d)
-        denom = lcm(*(x.denominator for x in coeffs))
+        denom = math.lcm(*(x.denominator for x in coeffs))
         ints = [x.numerator * denom // x.denominator for x in coeffs]
-        g = gcd(*ints)
+        g = math.gcd(*ints)
         ints = [x // g for x in ints]
         lead = next(x for x in ints[:3] if x != 0)
         if lead < 0:

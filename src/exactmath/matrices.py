@@ -84,10 +84,6 @@ class Matrix:
         return Matrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zero(m: int, n: int) -> "Matrix":
-        return Matrix([[Fraction(0)] * n for _ in range(m)])
-
-    @staticmethod
     def from_string(text: str) -> "Matrix":
         """Parse "2 -3; 0 1" (rows split on ';' or newlines)."""
         rows = []

@@ -7,19 +7,10 @@ ratio.parse_percent).  Each parser here imports the module of its type when
 it runs, so parsing a set does not load geometry and matrices.
 """
 
-from __future__ import annotations
-
 import re
-from typing import TYPE_CHECKING
 
 from .errors import ParseError
 from .rationals import literal_int, parse_rational, signed_terms
-
-if TYPE_CHECKING:
-    from .complexn import GaussianRational
-    from .geometry import Line, Plane, Vec3
-    from .relations import Relation
-    from .sets import FinSet
 
 
 def _atom(token: str):
@@ -39,7 +30,7 @@ def _braced(text: str, kind: str) -> str:
     return text[1:-1].strip()
 
 
-def parse_set(text: str) -> FinSet:
+def parse_set(text: str):
     """Parse "{1, 2, 3}" or "{a, b}"; "{}" is the empty set."""
     from .sets import FinSet
 
@@ -63,10 +54,9 @@ def parse_pairs(text: str) -> list[tuple]:
     return pairs
 
 
-def parse_relation(text: str, source: FinSet | None = None,
-                   target: FinSet | None = None) -> Relation:
-    """Relation from a pair literal; source/target default to the atoms
-    that actually appear."""
+def parse_relation(text: str, source=None, target=None):
+    """Relation from a pair literal; source/target (FinSets) default to
+    the atoms that actually appear."""
     from .relations import Relation
     from .sets import FinSet
 
@@ -78,7 +68,7 @@ def parse_relation(text: str, source: FinSet | None = None,
     return Relation(source, target, pairs)
 
 
-def parse_complex(text: str) -> GaussianRational:
+def parse_complex(text: str):
     """Parse "a+bi" forms: "3+4i", "-i", "2", "1/2-3/4i", "4i"."""
     from .complexn import GaussianRational
 
@@ -93,7 +83,7 @@ def parse_complex(text: str) -> GaussianRational:
     return GaussianRational(parts.get(False, 0), parts.get(True, 0))
 
 
-def parse_vec3(text: str) -> Vec3:
+def parse_vec3(text: str):
     """Parse "(x, y, z)"; parentheses optional."""
     from .geometry import Vec3
 
@@ -106,7 +96,7 @@ def parse_vec3(text: str) -> Vec3:
     return Vec3(*(parse_rational(p) for p in parts))
 
 
-def parse_plane(text: str) -> Plane:
+def parse_plane(text: str):
     """Parse "A B C D" (whitespace-separated rational coefficients)."""
     from .geometry import Plane
 
@@ -122,7 +112,7 @@ _CANONICAL_PART = re.compile(
     r"|^\s*([xyz])\s*/\s*(\S+)\s*$")
 
 
-def parse_line(text: str) -> Line:
+def parse_line(text: str):
     """Parse "point=(..) dir=(..)" or the canonical string
     "(x-x0)/l=(y-y0)/m=(z-z0)/n" (zero denominators rejected)."""
     from .geometry import Line, Vec3

@@ -751,6 +751,10 @@ def test_nonpositive_modulus_is_a_domain_error(argv, err, capsys):
      "too large: the coefficient of term 0 has more than 4300 digits"),
     (["comb", "expand", "4000", NINES_400, "1", "1", "0"],
      "too large: an end term of the expansion has more than 4300 digits"),
+    (["comb", "expand", "4000", NINES_400, "1", NINES_400, "1"],
+     "too large: the merged term of the expansion has more than 4300 digits"),
+    (["comb", "expand", "4000", NINES_400, "1", "1", "1"],
+     "too large: the merged term of the expansion has more than 4300 digits"),
     (["comb", "sum", "squares", "1" + "0" * 1500], PAST_DIGITS),
     (["mat", "det", DIAGONAL_2000], PAST_DIGITS),
     (["--json", "mat", "det", DIAGONAL_2000], PAST_DIGITS),
@@ -917,18 +921,22 @@ IMPORT_BUDGET = [
                          ids=[" ".join(argv) for argv, _ in IMPORT_BUDGET])
 def test_a_run_imports_only_the_modules_its_group_uses(argv, modules):
     """A fresh interpreter runs the argv and lists the exactmath modules it
-    loaded; `mat det` loads exactmath, cli, errors, rationals and matrices."""
+    loaded; `mat det` loads exactmath, cli, errors, rationals and matrices.
+    It starts without site (-S), so that no .pth file preloads a module,
+    and no run loads typing."""
     code = ("import sys\nfrom exactmath.cli import dispatch\ncode = dispatch(sys.argv[1:])\n"
+            "print('typing' in sys.modules)\n"
             "print(code, *sorted(m for m in sys.modules if m.startswith('exactmath')))")
     src = str(Path(exactmath.__file__).resolve().parent.parent)
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.splitlines()[-1].split()
-    assert loaded == ["0", "exactmath", *sorted(f"exactmath.{m}" for m in
-                                                {"cli", "errors", "rationals", *modules})]
+    typing_loaded, loaded = proc.stdout.splitlines()[-2:]
+    assert typing_loaded == "False"
+    assert loaded.split() == ["0", "exactmath", *sorted(f"exactmath.{m}" for m in
+                                                        {"cli", "errors", "rationals", *modules})]
 
 
 # -- argv fuzzing ----------------------------------------------------------

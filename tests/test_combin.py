@@ -129,6 +129,8 @@ fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 
 @given(st.integers(1, 40), fractions.filter(bool), fractions, fractions.filter(bool), fractions)
+@example(600, F(3, 4), F(2), F(-4, 9), F(2))  # like exponents: one term, (c1 + c2)^n
+@example(600, F(-7, 8), F(-1, 3), F(7, 8), F(-1, 3))  # like exponents that cancel
 def test_expand_matches_reference_on_random_operands(n, c1, e1, c2, e2):
     assert binom_expand(n, c1, e1, c2, e2) == expand_by_terms(n, c1, e1, c2, e2)
 
@@ -203,6 +205,11 @@ def test_power_caps_refuse_only_what_cannot_be_printed(n, k, c1, c2):
         except TooLarge as exc:
             if str(exc).startswith("an end term"):
                 assert past_the_digit_limit(c1 ** n) or past_the_digit_limit(c2 ** n)
+        try:
+            binom_expand(n, c1, F(1), c2, F(1))
+        except TooLarge as exc:
+            if str(exc).startswith("the merged term"):
+                assert past_the_digit_limit((c1 + c2) ** n)
 
 
 def test_term_out_of_range():
