@@ -3,6 +3,7 @@ rational coefficients/exponents, and the closed-form sum formulas from the
 induction chapter.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,22 +54,40 @@ def binom(n: int, k: int) -> int:
 _DIGIT_BITS = DIGIT_LIMIT.bit_length()
 
 
+def _prime_to(p: int, others) -> int:
+    """The largest divisor of p >= 1 that shares no prime with any of others."""
+    for q in others:
+        g = math.gcd(p, q)
+        while g > 1:
+            p //= g
+            # g^2 has the primes of g: a factor r^e of p goes in about log2(e) steps, not e
+            g = math.gcd(p, g * g)
+    return p
+
+
 def _check_power_digits(what: str, factors) -> None:
     """Raise TooLarge when the product of x^m over the (x, m) factors,
     m >= 0, has a numerator or denominator past MAX_DIGITS digits, read off
-    bit lengths before any power is formed.  In lowest terms the numerator
-    is at least |product| and the denominator at least 1/|product|, so only
-    lower bounds on them are tested: what this refuses cannot be printed."""
-    if any(x == 0 and m for x, m in factors):
+    bit lengths before any power is formed.  Only lower bounds on the
+    numerator and denominator in lowest terms are tested, so what this
+    refuses cannot be printed:
+    - the numerator is at least |product| and the denominator at least
+      1/|product|;
+    - the part of each base's numerator that shares no prime with any
+      base's denominator divides the numerator, and likewise for the
+      denominator, so a base near 1 is refused too."""
+    factors = [(abs(x.numerator), x.denominator, m) for x, m in factors if m]
+    if any(p == 0 for p, _, _ in factors):
         return  # the product is 0
     # an integer j >= 1 lies in [2^(bitlen(j) - 1), 2^bitlen(j - 1)],
     # so lo <= log2|product| <= hi
-    lo = hi = 0
-    for x, m in factors:
-        p, q = abs(x.numerator), x.denominator
+    lo = hi = num = den = 0
+    for p, q, m in factors:
         lo += m * (p.bit_length() - 1 - (q - 1).bit_length())
         hi += m * ((p - 1).bit_length() - q.bit_length() + 1)
-    if lo >= _DIGIT_BITS or -hi >= _DIGIT_BITS:
+        num += m * (_prime_to(p, (q for _, q, _ in factors)).bit_length() - 1)
+        den += m * (_prime_to(q, (p for p, _, _ in factors)).bit_length() - 1)
+    if max(lo, -hi, num, den) >= _DIGIT_BITS:
         raise TooLarge(f"{what} has more than {MAX_DIGITS} digits")
 
 
@@ -129,11 +148,10 @@ def binom_expand(n: int, c1: Fraction, e1: Fraction,
         total = c1 + c2
         if total == 0:
             return []
-        biggest = max(abs(total.numerator), total.denominator)
-        _check_power_digits("the merged term of the expansion", ((biggest, n),))
+        _check_power_digits("the merged term of the expansion", ((total, n),))
         return [Monomial(Fraction(e1 * n), total ** n)]
-    biggest = max(abs(c1.numerator), c1.denominator, abs(c2.numerator), c2.denominator)
-    _check_power_digits("an end term of the expansion", ((biggest, n),))
+    for end in (c1, c2):
+        _check_power_digits("an end term of the expansion", ((end, n),))
     ratio = c2 / c1
     coeff = c1 ** n  # C(n, k) c1^(n-k) c2^k, in lowest terms
     terms = []

@@ -229,8 +229,6 @@ class HesseForm:
 
 
 def plane_point_normal(point: Vec3, normal: Vec3) -> Plane:
-    if normal.is_zero():
-        raise ZeroVector("a plane needs a nonzero normal")
     return Plane(normal.x, normal.y, normal.z, -dot(normal, point))
 
 

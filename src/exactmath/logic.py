@@ -273,10 +273,7 @@ def _column(f: Formula, atoms: list[str]) -> int:
 
     def walk(g):
         if isinstance(g, Atom):
-            try:
-                return columns[g.name]
-            except KeyError:
-                raise UnboundAtom(f"no value for atom {g.name!r}") from None
+            return columns[g.name]
         if isinstance(g, Not):
             return full ^ walk(g.operand)
         left = walk(g.left)

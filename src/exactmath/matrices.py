@@ -106,10 +106,8 @@ def scale(alpha, a: Matrix) -> Matrix:
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.n != b.m:
         raise ShapeMismatch(f"cannot multiply {a.m}x{a.n} by {b.m}x{b.n}")
-    return Matrix([
-        [sum(a[i, k] * b[k, j] for k in range(a.n)) for j in range(b.n)]
-        for i in range(a.m)
-    ])
+    cols = tuple(zip(*b.entries))
+    return Matrix([[sum(map(operator.mul, row, col)) for col in cols] for row in a.entries])
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -161,29 +159,26 @@ def _reduce(rows, pivots):
 
 # -- determinants ----------------------------------------------------------
 
-def _submatrix(a: Matrix, drop_i: int, drop_j: int) -> Matrix:
-    return Matrix([
-        [x for j, x in enumerate(row) if j != drop_j]
-        for i, row in enumerate(a.entries)
-        if i != drop_i
-    ])
+def _strike(rows, i, j):
+    return [row[:j] + row[j + 1:] for k, row in enumerate(rows) if k != i]
 
 
-def _det_laplace(a: Matrix) -> Fraction:
-    n = a.n
+def _det_laplace(rows) -> Fraction:
+    n = len(rows)
     if n == 1:
-        return a[0, 0]
+        return rows[0][0]
     if n == 2:
-        return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     # expand along the line with the most zeros (rows win ties, row 1 first);
-    # a column of a is a row of its transpose, which has the same det
-    best_row = max(range(n), key=lambda i: a.row(i).count(0))
-    best_col = max(range(n), key=lambda j: a.col(j).count(0))
-    if a.col(best_col).count(0) > a.row(best_row).count(0):
-        a, best_row = transpose(a), best_col
+    # a column is a row of the transpose, which has the same det
+    cols = tuple(zip(*rows))
+    best_row = max(range(n), key=lambda i: rows[i].count(0))
+    best_col = max(range(n), key=lambda j: cols[j].count(0))
+    if cols[best_col].count(0) > rows[best_row].count(0):
+        rows, best_row = cols, best_col
     # an empty sum (a zero row) is the int 0, which det makes a Fraction
-    return sum((-1) ** (best_row + j) * a[best_row, j] * _det_laplace(_submatrix(a, best_row, j))
-               for j in range(n) if a[best_row, j] != 0)
+    return sum((-1) ** (best_row + j) * x * _det_laplace(_strike(rows, best_row, j))
+               for j, x in enumerate(rows[best_row]) if x != 0)
 
 
 def _det_elimination(a: Matrix) -> Fraction:
@@ -215,7 +210,7 @@ def det(a: Matrix, method: str = "elimination") -> Fraction:
     if method == "laplace":
         if a.n > MAX_LAPLACE:
             raise TooLarge(f"Laplace expansion of order {a.n} exceeds the cap of {MAX_LAPLACE}")
-        return Fraction(_det_laplace(a))
+        return Fraction(_det_laplace(a.entries))
     if method == "elimination":
         return _det_elimination(a)
     if method == "sarrus3":
@@ -232,7 +227,7 @@ def minor(a: Matrix, i: int, j: int) -> Fraction:
         raise NotSquare("minors require a square matrix of order >= 2")
     if not (0 <= i < a.m and 0 <= j < a.n):
         raise IndexOutOfRange(f"({i}, {j}) outside a {a.m}x{a.n} matrix")
-    return det(_submatrix(a, i, j))
+    return det(Matrix(_strike(a.entries, i, j)))
 
 
 def cofactor(a: Matrix, i: int, j: int) -> Fraction:

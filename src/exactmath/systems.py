@@ -6,11 +6,12 @@ Parametric families use the non-pivot columns (left to right) as free
 parameters t1, t2, ...; any instantiation satisfies the system exactly.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotSquare, ParseError, ShapeMismatch, Singular, SingularSystem
-from .matrices import Matrix, _forward, _reduce, det, inverse, matmul
+from .matrices import Matrix, _forward, _reduce, det, inverse
 from .rationals import parse_rational
 
 
@@ -40,11 +41,6 @@ class LinearSystem:
             raise ParseError("system input is 'A | b' (or use --augmented)")
         left, right = text.split("|", 1)
         return LinearSystem(Matrix.from_string(left), [parse_rational(t) for t in right.split()])
-
-    def augmented(self) -> Matrix:
-        return Matrix([
-            list(row) + [rhs] for row, rhs in zip(self.a.entries, self.b)
-        ])
 
     def residual(self, x) -> tuple:
         """b - A·x, all Fractions; zero everywhere iff x solves the system."""
@@ -95,12 +91,22 @@ class Parametric:
 SolutionSet = Inconsistent | Unique | Parametric
 
 
+def _eliminate(sys: LinearSystem):
+    """Forward elimination of the rows of A|b over all n + 1 columns.
+
+    Returns (rows, pivot_cols).  Kronecker-Capelli: rank A counts the pivots
+    in the first n columns and rank (A|b) all of them, so the system is
+    inconsistent iff column n holds a pivot."""
+    rows = [[*row, rhs] for row, rhs in zip(sys.a.entries, sys.b)]
+    pivots, _ = _forward(rows, sys.a.n + 1)
+    return rows, pivots
+
+
 def classify(sys: LinearSystem) -> ConsistencyReport:
     """Kronecker-Capelli: consistent iff rank A = rank (A|b); unique iff
-    that common rank equals the number of unknowns.  Both ranks come from
-    one elimination of A|b: rank A counts its pivots in the first n columns."""
+    that common rank equals the number of unknowns."""
     n = sys.a.n
-    pivots, _ = _forward([list(row) for row in sys.augmented().entries], n + 1)
+    _, pivots = _eliminate(sys)
     r_ab = len(pivots)
     r_a = sum(col < n for col in pivots)
     if r_a != r_ab:
@@ -114,11 +120,9 @@ def classify(sys: LinearSystem) -> ConsistencyReport:
 
 def solve_gauss(sys: LinearSystem) -> SolutionSet:
     """Reduce the augmented matrix to echelon form and back-substitute."""
-    rows = [list(row) + [rhs] for row, rhs in zip(sys.a.entries, sys.b)]
     n = sys.a.n
-    pivots, _ = _forward(rows, n)
-    # inconsistency: a zero row of A (all are below the pivots) with nonzero b
-    if any(row[n] != 0 for row in rows[len(pivots):]):
+    rows, pivots = _eliminate(sys)
+    if n in pivots:
         return Inconsistent()
     _reduce(rows, pivots)
     free_cols = [j for j in range(n) if j not in pivots]
@@ -144,14 +148,10 @@ def solve_cramer(sys: LinearSystem) -> Unique:
     d = det(sys.a)
     if d == 0:
         raise SingularSystem("the system determinant is zero")
-    values = []
-    for k in range(sys.a.n):
-        a_k = Matrix([
-            [sys.b[i] if j == k else sys.a[i, j] for j in range(sys.a.n)]
-            for i in range(sys.a.m)
-        ])
-        values.append(det(a_k) / d)
-    return Unique(tuple(values))
+    return Unique(tuple(
+        det(Matrix([row[:k] + (rhs,) + row[k + 1:] for row, rhs in zip(sys.a.entries, sys.b)])) / d
+        for k in range(sys.a.n)
+    ))
 
 
 def solve_inverse_method(sys: LinearSystem) -> Unique:
@@ -162,9 +162,7 @@ def solve_inverse_method(sys: LinearSystem) -> Unique:
         a_inv = inverse(sys.a)
     except Singular as exc:
         raise SingularSystem(str(exc)) from exc
-    column = Matrix([[x] for x in sys.b])
-    product = matmul(a_inv, column)
-    return Unique(tuple(product[i, 0] for i in range(sys.a.n)))
+    return Unique(tuple(sum(map(operator.mul, row, sys.b)) for row in a_inv.entries))
 
 
 def homogeneous_analysis(a: Matrix) -> dict:

@@ -660,6 +660,7 @@ DIAGONAL_2000 = "; ".join(" ".join("9" * 2000 if i == j else "0" for j in range(
                           for i in range(3))
 GOOGOL_4 = "1" + "0" * 400
 NINES_400 = "9" * 400  # its powers pass the digit limit long before they are formed
+NEAR_ONE = f"{10**400 + 1}/{GOOGOL_4}"  # |x| is about 1, its numerator's powers are not
 PAST_DIGITS = "too large: a result has more than 4300 digits"
 PAST_FLOATS = "out of domain: a value is outside the float range"
 TOO_LONG = "parse error: a literal of 5000 digits exceeds the limit of 4300\n"
@@ -729,6 +730,14 @@ def test_nonpositive_modulus_is_a_domain_error(argv, err, capsys):
 
 
 @pytest.mark.parametrize("argv,err", [
+    (["comb", "expand", "0", "1", "1", "1", "0"],
+     "out of domain: expansion requires n >= 1, got 0"),
+    (["comb", "expand", "3", "0", "1", "1", "0"],
+     "out of domain: expansion requires nonzero coefficients"),
+    (["geo", "plane", "normal", "(1,2,3)", "(0,0,0)"],
+     "zero vector: a plane needs a nonzero normal"),
+    (["geo", "relate", "planes", "0 0 0 1", "1 0 0 0"],
+     "zero vector: a plane needs a nonzero normal"),
     (["cx", "pow", "2", "2000"],
      "out of domain: z^n for |z| = 2, n = 2000 is outside the float range"),
     (["cx", "pow", "1/2", "2000"],
@@ -748,6 +757,8 @@ def test_nonpositive_modulus_is_a_domain_error(argv, err, capsys):
     (["--json", "comb", "term", "10000", "0", "1/3", "1", "1", "1"], PAST_DIGITS),
     (["comb", "expand", "14000", "2", "1", "1", "0"], PAST_DIGITS),
     (["comb", "term", "100000", "0", NINES_400, "1", "1", "1"],
+     "too large: the coefficient of term 0 has more than 4300 digits"),
+    (["comb", "term", "100000", "0", NEAR_ONE, "1", "1", "1"],
      "too large: the coefficient of term 0 has more than 4300 digits"),
     (["comb", "expand", "4000", NINES_400, "1", "1", "0"],
      "too large: an end term of the expansion has more than 4300 digits"),

@@ -184,12 +184,12 @@ def test_power_cap_is_exact_at_a_power_of_two(c):
 big_fractions = st.builds(F, st.integers(-10**25, 10**25), st.integers(1, 10**25))
 
 
-# a body may form two powers of 75 000 digits (n = 6000, k = 3000 and
-# coefficients near 1, which no bound refuses): about 0.2 s, past the
+# a body checks a refusal by forming the refused value, up to 150 000
+# digits for n = 6000 and coefficients near 1: about 0.2 s, past the
 # default deadline
 @settings(deadline=None, derandomize=True)
 @given(st.integers(1, 6000), st.integers(0, 6000), big_fractions, big_fractions)
-@example(6000, 0, F(10**25 + 1, 10**25), F(1))  # near 1: only the end-term bound refuses
+@example(6000, 0, F(10**25 + 1, 10**25), F(1))  # near 1: refused by the reduced-value bounds
 def test_power_caps_refuse_only_what_cannot_be_printed(n, k, c1, c2):
     """A refusal from the bit-length bounds is never wrong: the value it
     stands for has a numerator or denominator past the digit limit."""
@@ -210,6 +210,14 @@ def test_power_caps_refuse_only_what_cannot_be_printed(n, k, c1, c2):
         except TooLarge as exc:
             if str(exc).startswith("the merged term"):
                 assert past_the_digit_limit((c1 + c2) ** n)
+
+
+@pytest.mark.parametrize("c", [F(3, 2), F(3**20, 2**20)])
+def test_power_caps_refuse_nothing_that_cancels(c):
+    """c^1500 (1/c)^1500 = 1: each base's numerator shares its primes with
+    the other's denominator, so the bounds on the reduced value count
+    neither, though 3^30000 alone has more than 4300 digits."""
+    assert binom_term(3000, 1500, c, F(1), 1 / c, F(0)).coeff == binom(3000, 1500)
 
 
 def test_term_out_of_range():
