@@ -2,12 +2,12 @@
 revisions of exactmath and print every argv whose exit code, stdout or
 stderr differ.  Standard library and git only:
 
-    python tools/diffcli.py [BASE] [--change REV] [--seed S] [--count N] [--group G ...]
+    python tools/diffcli.py [BASE] [--seed S] [--count N]
 
 BASE (default HEAD) is extracted with `git archive` into a temporary
-directory; the change is the working tree's src/, or REV extracted the same
-way.  For every entry of cli.COMMANDS, N argvs are drawn (seeded) from
-literal pools for each operand grammar; matrices and systems are generated
+directory; the change is the working tree's src/.  For every entry of
+cli.COMMANDS, N argvs are drawn (seeded) from literal pools for each
+operand grammar (tools/argvs.py); matrices and systems are generated
 (rational, rank-deficient and rectangular ones, consistent and inconsistent
 right-hand sides), and about 30% of the argvs carry --json.  Each side runs
 all argvs in one child process through cli.dispatch, with stdin holding
@@ -32,6 +32,9 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+from argvs import (ARITY, COMPLEX, FORMULAS, LINES, MEMBERS, PERCENTS, PLANES, RELATIONS, SETS,
+                   TABLES, VEC3, WEIGHTS)
+
 ROOT = Path(__file__).resolve().parent.parent
 STDIN = "1 2; 3 4"  # what a '-' operand reads
 ALARM_S = 10
@@ -42,19 +45,6 @@ JSON_SHARE = 0.3
 RATIONALS = ["0", "1", "-1", "2", "3", "-4", "1/2", "-2/3", "5/4", "7/3", "-1/6", "10", "0.5"]
 INTS = ["-3", "-1", "0", "1", "2", "3", "5", "7", "12"]
 BIG_INTS = ["360", "1001", "65537", "600851475143", "1000000000039", "9" * 30]
-FORMULAS = ["p & q", "p -> (q -> p)", "!(p | q) <-> (!p & !q)", "p ^ q", "a1 & !a1", "p &",
-            "(p -> q) & (q -> r) -> (p -> r)", "x | y | z | w", "~p | q", "p <-> p"]
-SETS = ["{}", "{a,b,c}", "{1,2}", "{1,a}", "{1,2,3,4}", "{a}", "{2,3}", "{", "{1,1}"]
-RELATIONS = ["{(1,1),(2,2),(1,2)}", "{(1,2),(2,3)}", "{(a,b)}", "{}", "{(1,2),(2,1)}",
-             "{(1,1),(2,2),(3,3),(1,2),(2,1)}", "{(1,1)}", "{(1,2"]
-TABLES = ["e a\ne a\na e", "a b\na c\nb b", "0 1\n0 1\n1 0", "a\na", "a b\na b\nb a", "x y\nx"]
-COMPLEX = ["3+4i", "i", "2-5i", "0", "1/2-i", "-1", "1+i", "-i", "3+4j"]
-VEC3 = ["(1,2,3)", "(0,0,0)", "(1,0,0)", "(-1,1/2,2)", "(2,4,6)", "(0,1,0)", "(1,2)"]
-PLANES = ["1 -2 -2 3", "0 0 1 0", "2 -4 -4 1", "1 1 1 -1", "0 0 0 1", "1 0 0 0", "2 -4 -4 6"]
-LINES = ["point=(0,0,0) dir=(1,0,0)", "(x-1)/3 = (y-2)/-2 = (z-3)/1",
-         "point=(1,1,1) dir=(0,0,0)", "point=(1,2,3) dir=(2,-1,1)", "point=(0,1,0) dir=(1,0,0)"]
-PERCENTS = ["10%", "40%", "25", "-3%", "5‰", "+15%", "-10%", "100", "0", "1/2"]
-MEMBERS = ["x", "x+9", "2x-3", "3", "1/2", "0", "4", "3x+1"]
 COEFFS = RATIONALS + ["1001/1000", "-999/1000", "9" * 60, "1/" + "7" * 40, "3/2", "2/3"]
 EXPONENTS = ["0", "1", "2", "-2", "1/2", "2/3", "-1"]
 MALFORMED_MATRICES = ["1 2; 3", "", "x", "-", "1 2 |", "1/0"]
@@ -81,7 +71,7 @@ POOLS = {
     ("cx", "roots", "n"): ["0", "1", "2", "3", "5", "8"],
     ("geo", "a"): VEC3, ("geo", "b"): VEC3,
     ("mix", "parts"): MEMBERS, ("mix", "total"): RATIONALS,
-    "weights": ["1:2:3", "0:0", "2:3", "1/2:1/3", "-1:2", "5"],
+    "weights": WEIGHTS,
     "--g": PERCENTS, "--i": PERCENTS, "--p": PERCENTS, "--start": PERCENTS,
     "--final": PERCENTS, "deltas": PERCENTS, "s1": PERCENTS, "s2": PERCENTS,
     "target": PERCENTS, "values": PERCENTS,
@@ -90,7 +80,6 @@ POOLS = {
 KIND_PARTS = {"points": (VEC3, VEC3), "planes": (PLANES, PLANES), "lines": (LINES, LINES),
               "lineplane": (LINES, PLANES), "pointplane": (VEC3, PLANES),
               "pointline": (VEC3, LINES)}
-ARITY = {None: (1, 1), "?": (0, 1), "+": (1, 3), "*": (0, 3)}
 
 
 # -- generated operands ------------------------------------------------------
@@ -254,7 +243,8 @@ def extract(rev, into):
     data = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
                           check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
-        tar.extractall(into, filter="data")
+        # the "data" filter exists from Python 3.12, 3.11.4 and 3.10.12
+        tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     return str(Path(into) / "src")
 
 
@@ -283,10 +273,8 @@ def show(value, limit=300):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", nargs="?", default="HEAD", help="git revision (default HEAD)")
-    parser.add_argument("--change", help="git revision (default: the working tree)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--count", type=int, default=200, help="argvs per command")
-    parser.add_argument("--group", action="append", help="only these command groups")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -295,12 +283,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from exactmath.cli import COMMANDS
 
-    commands = [c for c in COMMANDS if not args.group or c.group in args.group]
-    argvs = draw(commands, args.seed, args.count)
+    argvs = draw(COMMANDS, args.seed, args.count)
     with tempfile.TemporaryDirectory() as tmp:
         base = extract(args.base, Path(tmp) / "base")
-        change = extract(args.change, Path(tmp) / "change") if args.change else str(ROOT / "src")
-        procs = [start(base, argvs), start(change, argvs)]
+        procs = [start(base, argvs), start(str(ROOT / "src"), argvs)]
         before, after = map(finish, procs)
     differ = 0
     for argv, old, new in zip(argvs, before, after):
