@@ -120,7 +120,8 @@ def classify_structure(m: Magma) -> dict:
 
     Associativity compares |S|^2 rows of |S| indices: the row of a*b with
     a applied to the row of b.  The neutral element, when reported, is
-    unique (checked), and in a group every inverse is unique and two-sided.
+    unique: two neutral elements e and f would give e = e*f = f.  In a
+    group every inverse is unique and two-sided.
     """
     closed = m.closed
     result = {
@@ -143,11 +144,8 @@ def classify_structure(m: Magma) -> dict:
     )
     result["commutative"] = columns == t
     identity = tuple(range(len(t)))
-    neutrals = [e for e in identity if t[e] == identity and columns[e] == identity]
-    if len(neutrals) > 1:
-        raise RuntimeError("two distinct neutral elements")
-    if neutrals:
-        e = neutrals[0]
+    e = next((e for e in identity if t[e] == identity and columns[e] == identity), None)
+    if e is not None:
         result["neutral"] = m.carrier[e]
         result["all_invertible"] = all(
             any(ax == e and columns[a][x] == e for x, ax in enumerate(row))

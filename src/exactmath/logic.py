@@ -85,101 +85,81 @@ class Classification(Enum):
 # Binary connectives from the loosest to the tightest binding: equivalence,
 # implication (right-associative), exclusive disjunction, disjunction and
 # conjunction (left-associative).  Negation binds tighter than all of them.
-_BINARY = (("<->", Iff), ("->", Implies), ("^", Xor), ("|", Or), ("&", And))
-_CONNECTIVE = {symbol: (level, node) for level, (symbol, node) in enumerate(_BINARY)}
+# Each row gives the connective's symbol, its node class and its truth
+# function on truth columns: a, b and the all-true column full (see _column).
+_BINARY = (
+    ("<->", Iff, lambda a, b, full: full ^ a ^ b),
+    ("->", Implies, lambda a, b, full: (full ^ a) | b),
+    ("^", Xor, lambda a, b, full: a ^ b),
+    ("|", Or, lambda a, b, full: a | b),
+    ("&", And, lambda a, b, full: a & b),
+)
+_CONNECTIVE = {symbol: (level, node) for level, (symbol, node, _) in enumerate(_BINARY)}
+_SYMBOL = {node: symbol for symbol, node, _ in _BINARY}
+_TRUTH = {node: truth for _, node, truth in _BINARY}
+_PRECEDENCE = {node: level for level, node
+               in enumerate([node for _, node, _ in _BINARY] + [Not, Atom], start=1)}
 _NEGATION = ("!", "~")
 
-_TOKEN = re.compile(r"\s*(<->|->|[!~&|^()]|[a-z][a-z0-9]*)")
+# a token, or the end of the text (an empty group 1) after any blanks
+_TOKEN = re.compile(r"\s*(<->|->|[!~&|^()]|[a-z][a-z0-9]*|\Z)")
 
 
 def _tokenize(text: str):
+    """(token, position) pairs, ended by the sentinel (None, len(text))."""
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:  # report the character after the whitespace _TOKEN skipped
-            bad = len(text) - len(text[pos:].lstrip())
-            if bad < len(text):
-                raise ParseError(f"unexpected character {text[bad]!r}", position=bad)
-            break
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self):
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][0]
-        return None
-
-    def advance(self):
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def expect(self, token: str):
-        if self.peek() != token:
-            raise ParseError(f"expected {token!r}", position=self._position())
-        self.advance()
-
-    def _position(self):
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][1]
-        return len(self.text)
-
-    def parse(self) -> Formula:
-        f = self.binary()
-        if self.peek() is not None:
-            raise ParseError(f"trailing input {self.peek()!r}", position=self._position())
-        return f
-
-    def binary(self, level=0) -> Formula:
-        """Operands joined by connectives of `level` or tighter (precedence
-        climbing)."""
-        f = self.unary()
-        while self.peek() in _CONNECTIVE:
-            tightness, node = _CONNECTIVE[self.peek()]
-            if tightness < level:
-                break
-            self.advance()
-            # the right operand of a left-associative connective stops at
-            # the next connective of the same level
-            f = node(f, self.binary(tightness + (node is not Implies)))
-        return f
-
-    def unary(self) -> Formula:
-        token = self.peek()
-        if token in _NEGATION:
-            self.advance()
-            return Not(self.unary())
-        if token == "(":
-            self.advance()
-            f = self.binary()
-            self.expect(")")
-            return f
+    while m := _TOKEN.match(text, pos):
+        token, pos = m.group(1) or None, m.end()
+        tokens.append((token, m.start(1)))
         if token is None:
-            raise ParseError("unexpected end of input", position=self._position())
-        if re.fullmatch(r"[a-z][a-z0-9]*", token):
-            self.advance()
-            return Atom(token)
-        raise ParseError(f"unexpected token {token!r}", position=self._position())
+            return tokens
+    bad = len(text) - len(text[pos:].lstrip())  # the first non-blank character
+    raise ParseError(f"unexpected character {text[bad]!r}", position=bad)
 
 
 def parse_formula(text: str) -> Formula:
     if not text.strip():
         raise ParseError("empty formula")
-    return _Parser(text).parse()
+    tokens = _tokenize(text)
+    index = 0
 
+    def binary(level):
+        """Operands joined by connectives of `level` or tighter (precedence
+        climbing)."""
+        nonlocal index
+        f = unary()
+        while (entry := _CONNECTIVE.get(tokens[index][0])) and entry[0] >= level:
+            tightness, node = entry
+            index += 1
+            # the right operand of a left-associative connective stops at
+            # the next connective of the same level
+            f = node(f, binary(tightness + (node is not Implies)))
+        return f
 
-_SYMBOL = {node: symbol for symbol, node in _BINARY}
-_PRECEDENCE = {node: level for level, node
-               in enumerate([node for _, node in _BINARY] + [Not, Atom], start=1)}
+    def unary():
+        nonlocal index
+        token, position = tokens[index]
+        index += 1
+        if token in _NEGATION:
+            return Not(unary())
+        if token == "(":
+            f = binary(0)
+            if tokens[index][0] != ")":
+                raise ParseError("expected ')'", position=tokens[index][1])
+            index += 1
+            return f
+        if token is None:
+            raise ParseError("unexpected end of input", position=position)
+        if re.fullmatch(r"[a-z][a-z0-9]*", token):
+            return Atom(token)
+        raise ParseError(f"unexpected token {token!r}", position=position)
+
+    f = binary(0)
+    token, position = tokens[index]
+    if token is not None:
+        raise ParseError(f"trailing input {token!r}", position=position)
+    return f
 
 
 def print_formula(f: Formula) -> str:
@@ -276,17 +256,7 @@ def _column(f: Formula, atoms: list[str]) -> int:
             return columns[g.name]
         if isinstance(g, Not):
             return full ^ walk(g.operand)
-        left = walk(g.left)
-        right = walk(g.right)
-        if isinstance(g, And):
-            return left & right
-        if isinstance(g, Or):
-            return left | right
-        if isinstance(g, Xor):
-            return left ^ right
-        if isinstance(g, Implies):
-            return (full ^ left) | right
-        return full ^ (left ^ right)  # Iff
+        return _TRUTH[type(g)](walk(g.left), walk(g.right), full)
 
     return walk(f)
 

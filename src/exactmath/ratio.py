@@ -88,22 +88,17 @@ def extended_split(total, weights) -> list[Fraction]:
 
 def percent_solve(g=None, i=None, p=None) -> Fraction:
     """The percent rule G : 100 = I : p; pass exactly two of the three."""
-    given = [v is not None for v in (g, i, p)]
-    if given.count(False) != 1:
+    if [g, i, p].count(None) != 1:
         raise WrongArity("exactly one of G, I, p must be missing")
+    g, i, p = (None if v is None else Fraction(v) for v in (g, i, p))
     if g is None:
-        i, p = Fraction(i), Fraction(p)
         if p <= 0:
             raise NonPositive("p must be positive to recover G")
         return 100 * i / p
-    if i is None:
-        g, p = Fraction(g), Fraction(p)
-        if g <= 0:
-            raise NonPositive("G must be positive")
-        return g * p / 100
-    g, i = Fraction(g), Fraction(i)
     if g <= 0:
         raise NonPositive("G must be positive")
+    if i is None:
+        return g * p / 100
     return 100 * i / g
 
 

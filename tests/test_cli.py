@@ -39,6 +39,9 @@ GOLDEN = [
     (["logic", "equiv", "p -> q", "!p | q"], "true"),
     (["logic", "table", "p & !q"],
      "p q | *\n-------\nT T | F\nT F | T\nF T | F\nF F | F"),
+    # trailing blanks end the formula like the end of the text
+    (["logic", "table", "p & q "],
+     "p q | *\n-------\nT T | T\nT F | F\nF T | F\nF F | F"),
     # sets
     (["set", "ops", "union", "{a,b,c}", "{c,d}"], "{a, b, c, d}"),
     (["set", "ops", "symdiff", "{a,b,c,d,e,f}", "{d,e,f,g,h}"],
@@ -58,6 +61,7 @@ GOLDEN = [
     (["cx", "arith", "div", "2-3i", "1+i"], "-1/2-5/2i"),
     (["cx", "polar", "1+i"],
      "r = 1.414213562, theta = 0.7853981634 rad (45 deg)"),
+    (["cx", "pow", "3+4i", "0"], "r = 1, theta = 0 rad (0 deg)\nxy = (1, 0)"),
     (["cx", "roots", "1-i", "3"],
      "r = 1.122462048, theta = 1.832595715 rad (105 deg)\n"
      "r = 1.122462048, theta = 3.926990817 rad (225 deg)\n"
@@ -98,7 +102,7 @@ GOLDEN = [
                          ids=[" ".join(argv) for argv, _ in GOLDEN])
 def test_golden(argv, expected, capsys):
     assert dispatch(argv) == 0
-    assert capsys.readouterr().out == expected + "\n"
+    assert capsys.readouterr() == (expected + "\n", "")
 
 
 JSON_CASES = [
@@ -777,6 +781,13 @@ def test_nonpositive_modulus_is_a_domain_error(argv, err, capsys):
     (["cx", "pow", GOOGOL_4, "2"], PAST_FLOATS),
     (["cx", "roots", GOOGOL_4, "3"], PAST_FLOATS),
     (["geo", "vec", f"({GOOGOL_4},0,0)", "(1,0,0)"], PAST_FLOATS),
+    (["cx", "pow", "0", "-1"], "division by zero: negative power of zero"),
+    (["nt", "frombase", "", "2"], "bad base: empty digit list"),
+    (["mat", "solveq", "right", "1 0; 0 1", "1 2 3"],
+     "shape mismatch: XA=B needs 2 columns in B, got 3"),
+    (["sys", "invmethod", "1 2 | 3"],
+     "not square: the inverse-matrix method needs a square system"),
+    (["mix", "percent", "--g", "0", "--i", "5"], "non positive: G must be positive"),
 ], ids=argv_id)
 def test_out_of_range_operand_is_a_domain_error(argv, err, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(IDENTITY_9))

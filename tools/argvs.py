@@ -6,7 +6,9 @@ grammar's list."""
 ARITY = {None: (1, 1), "?": (0, 1), "+": (1, 3), "*": (0, 3)}
 
 FORMULAS = ["p & q", "p & !q", "p -> (q -> p)", "!(p | q) <-> (!p & !q)", "p ^ q", "a1 & !a1",
-            "p &", "(p -> q) & (q -> r) -> (p -> r)", "x | y | z | w", "~p | q", "p <-> p"]
+            "p &", "(p -> q) & (q -> r) -> (p -> r)", "x | y | z | w", "~p | q", "p <-> p",
+            "p & q ", "  p", "p q", "(p", ")", "P", "p @ q", "p -> -> q", "p &  \t#", "p)",
+            "()", "p & ()", "p & !"]
 SETS = ["{}", "{a,b,c}", "{1,2}", "{1,a}", "{1,2,3,4}", "{a}", "{2,3}", "{", "{1,1}"]
 RELATIONS = ["{(1,1),(2,2),(1,2)}", "{(1,2),(2,3)}", "{(a,b)}", "{}", "{(1,2),(2,1)}",
              "{(1,1),(2,2),(3,3),(1,2),(2,1)}", "{(1,1)}", "{(1,2"]
