@@ -1,10 +1,11 @@
 """Exact rational matrices: arithmetic, determinants by Laplace expansion,
-rational elimination and the Sarrus rule, minors/cofactors/adjugate, the
-inverse by Gauss-Jordan elimination, rank via elementary row operations
-(with an operation log in the text's Iv/IIv notation), and the matrix
-equations AX=B and XA=B.
+fraction-free (Bareiss) elimination and the Sarrus rule,
+minors/cofactors/adjugate, the inverse by Gauss-Jordan elimination, rank via
+elementary row operations (with an operation log in the text's Iv/IIv
+notation), and the matrix equations AX=B and XA=B.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,7 +115,8 @@ def transpose(a: Matrix) -> Matrix:
     return Matrix([a.col(j) for j in range(a.n)])
 
 
-# -- row elimination: the one kernel behind det, inverse, rank and systems --
+# -- row elimination: the kernel behind inverse, rank and systems --------
+# (det eliminates in integers instead; see _det_elimination)
 
 def _forward(rows, width):
     """Forward elimination in place on a list of row lists, over the first
@@ -182,13 +184,31 @@ def _det_laplace(rows) -> Fraction:
 
 
 def _det_elimination(a: Matrix) -> Fraction:
-    rows = [list(row) for row in a.entries]
-    _, ops = _forward(rows, a.n)
-    # a singular matrix leaves a zero last row, so the diagonal product is 0
-    det = Fraction((-1) ** sum(factor is None for _, factor, _ in ops))
-    for i in range(a.n):
-        det *= rows[i][i]
-    return det
+    """Bareiss fraction-free elimination (Bareiss 1968) on integer rows: row
+    i is scaled by the lcm L_i of its denominators, every division is exact,
+    and each entry is a minor of the scaled matrix, so none outgrows
+    Hadamard's bound.  det = sign * last pivot / prod(L_i)."""
+    rows, denominator = [], 1
+    for row in a.entries:
+        lcm = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (lcm // x.denominator) for x in row])
+        denominator *= lcm
+    sign, previous = 1, 1
+    for col in range(a.n):
+        pivot_row = next((i for i in range(col, a.n) if rows[i][col]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            sign = -sign
+        top = rows[col]
+        pivot = top[col]
+        for row in rows[col + 1:]:
+            factor = row[col]
+            row[col + 1:] = [(pivot * x - factor * y) // previous
+                             for x, y in zip(row[col + 1:], top[col + 1:])]
+        previous = pivot
+    return Fraction(sign * previous, denominator)
 
 
 def _det_sarrus(a: Matrix) -> Fraction:
@@ -259,11 +279,17 @@ def inverse(a: Matrix) -> Matrix:
 
 # -- rank ------------------------------------------------------------------
 
-def _roman(i: int) -> str:
-    numerals = ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X"]
-    if i < len(numerals):
-        return numerals[i]
-    return str(i + 1)
+_NUMERALS = ((1000, "M"), (900, "CM"), (500, "D"), (400, "CD"), (100, "C"), (90, "XC"),
+             (50, "L"), (40, "XL"), (10, "X"), (9, "IX"), (5, "V"), (4, "IV"), (1, "I"))
+
+
+def _roman(n: int) -> str:
+    """The Roman numeral of n >= 1."""
+    numeral = ""
+    for value, symbol in _NUMERALS:
+        count, n = divmod(n, value)
+        numeral += symbol * count
+    return numeral
 
 
 @dataclass(frozen=True)
@@ -282,9 +308,10 @@ def rank(a: Matrix) -> EchelonReport:
     """
     rows = [list(row) for row in a.entries]
     pivots, ops = _forward(rows, a.n)
+    label = [f"{_roman(i)}v" for i in range(1, a.m + 1)]
     log = tuple(
-        f"{_roman(i)}v<->{_roman(j)}v" if factor is None
-        else f"{_roman(i)}v-({factor}){_roman(j)}v"
+        f"{label[i]}<->{label[j]}" if factor is None
+        else f"{label[i]}-({factor}){label[j]}"
         for i, factor, j in ops
     )
     return EchelonReport(Matrix(rows), len(pivots), tuple(pivots), log)

@@ -204,6 +204,16 @@ def test_elimination_golden(argv, text, payload, capsys):
     assert capsys.readouterr().out == payload + "\n"
 
 
+def test_rank_log_names_rows_past_ten_in_roman_numerals(capsys):
+    rows = "; ".join(f"0 {k}" for k in range(1, 11)) + "; 3 1; 1 2"
+    assert dispatch(["mat", "rank", rows]) == 0
+    assert capsys.readouterr() == (
+        "rank = 2\n3 1\n0 2\n" + "0 0\n" * 10
+        + "ops: Iv<->XIv; XIIv-(1/3)Iv; IIIv-(3/2)IIv; IVv-(2)IIv; Vv-(5/2)IIv;"
+        " VIv-(3)IIv; VIIv-(7/2)IIv; VIIIv-(4)IIv; IXv-(9/2)IIv; Xv-(5)IIv;"
+        " XIv-(1/2)IIv; XIIv-(5/6)IIv\n", "")
+
+
 # One argv per (group, op) and per `choices` value, text and --json.
 COMMAND_GOLDEN = [
     (["nt", "gcd", "252", "198"],

@@ -8,7 +8,7 @@ sympy = pytest.importorskip("sympy")
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exactmath import (
     Inconsistent,
@@ -32,11 +32,12 @@ def _grid(m, n):
 
 
 @st.composite
-def matrices(draw, square=False):
-    """Rational matrices up to 6x7; about half are built as an m x r times
-    r x n product, so rank deficiency (down to the zero matrix) is common."""
-    m = draw(st.integers(1, 6))
-    n = m if square else draw(st.integers(1, 7))
+def matrices(draw, square=False, size=6):
+    """Rational matrices up to size x (size + 1); about half are built as an
+    m x r times r x n product, so rank deficiency (down to the zero matrix)
+    is common."""
+    m = draw(st.integers(1, size))
+    n = m if square else draw(st.integers(1, size + 1))
     if draw(st.booleans()):
         return Matrix(draw(_grid(m, n)))
     r = draw(st.integers(0, min(m, n) - 1))
@@ -58,8 +59,21 @@ def to_fraction(value) -> Fraction:
     return Fraction(int(value.p), int(value.q))
 
 
-@settings(max_examples=150, deadline=None)
-@given(matrices(square=True))
+def _shifted(n):
+    """Superdiagonal entries and a full last row: every column's leading
+    entry is zero, so each elimination step but the last swaps rows."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n - 1):
+        rows[i][i + 1] = Fraction(i + 2, i + 3) if i % 2 else Fraction(-i - 1)
+    rows[-1] = [Fraction(k - 3, k % 3 + 1) for k in range(n)]
+    return Matrix(rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(matrices(square=True, size=12))
+@example(_shifted(7))
+@example(Matrix([[Fraction(k, p) for k in row] for p, row in zip(
+    (2, 3, 5, 7), ([1, -3, 5, 1], [2, 1, -4, 5], [1, -2, 3, 7], [3, 1, -6, 2]))]))
 def test_det_matches_sympy(a):
     assert det(a) == to_fraction(to_sympy(a).det())
 

@@ -79,6 +79,8 @@ def test_det_fixtures():
     four = Matrix([[2, 1, 2, 1], [2, -3, 1, -3], [4, 2, 2, 2], [-2, 4, -1, 5]])
     assert det(four) == 16
     assert det(four, "laplace") == 16
+    rational = Matrix([[F(1, 2), F(1, 3), 0], [F(2, 5), -1, F(1, 7)], [3, F(1, 4), 2]])
+    assert det(rational) == det(rational, "laplace") == F(-137, 120)
 
 
 def test_det_errors():

@@ -8,12 +8,12 @@ BASE (default HEAD) is extracted with `git archive` into a temporary
 directory; the change is the working tree's src/.  For every entry of
 cli.COMMANDS, N argvs are drawn (seeded) from literal pools for each
 operand grammar (tools/argvs.py); matrices and systems are generated
-(rational, rank-deficient and rectangular ones, consistent and inconsistent
-right-hand sides), and about 30% of the argvs carry --json.  Each side runs
-all argvs in one child process through cli.dispatch, with stdin holding
-STDIN and an alarm of ALARM_S seconds per argv (an alarm cannot stop one
-long big-int operation, so the pools keep operands moderate).  Exit status
-1 if any argv differs.
+(rational, rank-deficient, rectangular and some of 11-14 rows; consistent
+and inconsistent right-hand sides), and about 30% of the argvs carry
+--json.  Each side runs all argvs in one child process through
+cli.dispatch, with stdin holding STDIN and an alarm of ALARM_S seconds per
+argv (an alarm cannot stop one long big-int operation, so the pools keep
+operands moderate).  Exit status 1 if any argv differs.
 """
 
 import argparse
@@ -90,8 +90,11 @@ def entry(rng):
 
 def matrix_rows(rng, m=None, n=None):
     """An m x n matrix, often square; about a third are rank-deficient, with
-    a row that is a combination of two others."""
-    m = m or rng.choice([1, 2, 3, 3, 4, 4, 5, 5, 6, 7])
+    a row that is a combination of two others.  One in twenty has 11-14
+    rows, so that row labels pass X and elimination takes many steps."""
+    if not m:
+        small = rng.choice([1, 2, 3, 3, 4, 4, 5, 5, 6, 7])
+        m = rng.randint(11, 14) if rng.random() < 0.05 else small
     n = n or (m if rng.random() < 0.6 else rng.randint(1, 5))
     rows = [[entry(rng) for _ in range(n)] for _ in range(m)]
     if m >= 2 and rng.random() < 0.35:
